@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 namespace harbor {
 
@@ -18,6 +19,13 @@ Cluster::~Cluster() {
     if (c) c->Crash();
   }
   authority_.StopTicker();
+  if (owns_base_dir_) {
+    // The sites (and their open files) go first, in member order.
+    workers_.clear();
+    coordinators_.clear();
+    std::error_code ec;
+    std::filesystem::remove_all(base_dir_, ec);
+  }
 }
 
 Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {

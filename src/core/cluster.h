@@ -25,7 +25,8 @@ struct ClusterOptions {
   CommitProtocol protocol = CommitProtocol::kOptimized3PC;
   bool group_commit = true;
   SimConfig sim = SimConfig::Zero();
-  /// Base directory for site storage; "" creates a fresh temp directory.
+  /// Base directory for site storage; "" creates a fresh temp directory,
+  /// which the cluster deletes when destroyed. A given directory is kept.
   std::string base_dir;
   /// HARBOR / ARIES background checkpoint period; 0 = manual checkpoints.
   int64_t checkpoint_period_ms = 0;
@@ -127,6 +128,7 @@ class Cluster {
   GlobalCatalog* catalog() { return &catalog_; }
   LivenessDirectory* liveness() { return &liveness_; }
   const ClusterOptions& options() const { return options_; }
+  const std::string& base_dir() const { return base_dir_; }
 
   /// Registers the table and provisions its objects at the workers.
   Result<TableId> CreateTable(const TableSpec& spec);

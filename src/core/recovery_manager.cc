@@ -83,10 +83,10 @@ Status RecoveryManager::RunPhase1(ObjectPlan* plan) {
     spec.has_insertion_after = true;
     spec.insertion_after = plan->checkpoint;
     SeqScanOperator scan(store, obj, std::move(spec));
-    HARBOR_ASSIGN_OR_RETURN(std::vector<Tuple> victims, CollectAll(&scan));
-    for (const Tuple& t : victims) {
-      if (covered(t.insertion_ts(), t.tuple_id())) continue;
-      HARBOR_RETURN_NOT_OK(store->PhysicalDelete(obj, t.record_id()));
+    HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> victims, scan.ScanKeys());
+    for (const VersionKey& k : victims) {
+      if (covered(k.insertion_ts, k.tuple_id)) continue;
+      HARBOR_RETURN_NOT_OK(store->PhysicalDelete(obj, k.rid));
       plan->stats.phase1_removed++;
     }
   }
@@ -100,10 +100,9 @@ Status RecoveryManager::RunPhase1(ObjectPlan* plan) {
     spec.has_deletion_after = true;
     spec.deletion_after = plan->checkpoint;
     SeqScanOperator scan(store, obj, std::move(spec));
-    HARBOR_ASSIGN_OR_RETURN(std::vector<Tuple> deleted, CollectAll(&scan));
-    for (const Tuple& t : deleted) {
-      HARBOR_RETURN_NOT_OK(
-          store->SetDeletionTs(obj, t.record_id(), kNotDeleted));
+    HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> deleted, scan.ScanKeys());
+    for (const VersionKey& k : deleted) {
+      HARBOR_RETURN_NOT_OK(store->SetDeletionTs(obj, k.rid, kNotDeleted));
     }
     plan->stats.phase1_undeleted = deleted.size();
   }
@@ -227,9 +226,10 @@ Status RecoveryManager::ApplyRemoteDeletions(
       // UPDATE LOCALLY rec SET deletion_time = del_time
       //   WHERE tuple_id = tup_id AND deletion_time = 0
       // The matching local version shares the remote version's insertion
-      // time, so the scan below prunes to the segments whose insertion range
-      // covers the shipped timestamps — the local side of recovery pays per
-      // *affected historical segment*, exactly like the remote side (§6.4.2).
+      // time, so the header-only key scan below prunes to the segments whose
+      // insertion range covers the shipped timestamps — the local side of
+      // recovery pays per *affected historical segment*, exactly like the
+      // remote side (§6.4.2) — and stamps the matches in place.
       // Skipping already-deleted versions also makes the pass idempotent, so
       // a failed-over stream can simply re-run it.
       std::unordered_map<TupleId, Timestamp> wanted;
@@ -253,14 +253,13 @@ Status RecoveryManager::ApplyRemoteDeletions(
       local.has_insertion_at_or_before = true;
       local.insertion_at_or_before = hi;
       SeqScanOperator local_scan(store, obj, std::move(local));
-      HARBOR_ASSIGN_OR_RETURN(std::vector<Tuple> candidates,
-                              CollectAll(&local_scan));
-      for (const Tuple& t : candidates) {
-        if (t.deletion_ts() != kNotDeleted) continue;  // older version
-        auto it = wanted.find(t.tuple_id());
+      HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> candidates,
+                              local_scan.ScanKeys());
+      for (const VersionKey& k : candidates) {
+        if (k.deletion_ts != kNotDeleted) continue;  // older version
+        auto it = wanted.find(k.tuple_id);
         if (it == wanted.end()) continue;
-        HARBOR_RETURN_NOT_OK(
-            store->SetDeletionTs(obj, t.record_id(), it->second));
+        HARBOR_RETURN_NOT_OK(store->SetDeletionTs(obj, k.rid, it->second));
         (*copied)++;
       }
       return Status::OK();
@@ -400,9 +399,9 @@ Status RecoveryManager::DiscardResume(ObjectPlan* plan) {
   spec.has_insertion_after = true;
   spec.insertion_after = plan->checkpoint;
   SeqScanOperator scan(store, obj, std::move(spec));
-  HARBOR_ASSIGN_OR_RETURN(std::vector<Tuple> victims, CollectAll(&scan));
-  for (const Tuple& t : victims) {
-    HARBOR_RETURN_NOT_OK(store->PhysicalDelete(obj, t.record_id()));
+  HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> victims, scan.ScanKeys());
+  for (const VersionKey& k : victims) {
+    HARBOR_RETURN_NOT_OK(store->PhysicalDelete(obj, k.rid));
   }
   plan->resume.clear();
   // Re-recording the unchanged checkpoint durably drops the resume entries.

@@ -534,12 +534,15 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
                           rt->catalog.GetObject(m.spec.object_id));
   ScanReplyMsg reply;
   std::vector<Tuple> tuples;
+  std::vector<VersionKey> keys;
   uint64_t pages_visited = 0;
   if (m.max_tuples > 0) {
     // Chunked recovery scan: serve one bounded chunk in (insertion_ts,
-    // tuple_id) order starting past the continuation cursor. The cursor's
-    // timestamp doubles as a segment-pruning bound — every remaining key
-    // has insertion_ts >= cursor_insertion_ts.
+    // tuple_id) order starting past the continuation cursor, selected
+    // key-first — the key scan reads only system headers from the row
+    // pages, and only the rows of the chunk are ever materialized. The
+    // cursor's timestamp doubles as a segment-pruning bound — every
+    // remaining key has insertion_ts >= cursor_insertion_ts.
     ScanSpec spec = m.spec;
     if (m.has_cursor && m.cursor_insertion_ts > 0) {
       const Timestamp bound = m.cursor_insertion_ts - 1;
@@ -548,10 +551,11 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
         spec.insertion_after = bound;
       }
     }
-    // Bounding the prefix alone leaves each chunk scanning the whole
+    // Bounding the prefix alone leaves each chunk key-scanning the whole
     // remaining suffix for its few smallest keys — quadratic across the
     // stream. Restrict each attempt to a ts window above the cursor,
-    // widening geometrically while it comes up empty. A window that yields
+    // widening geometrically while it comes up empty (a delta sharing one
+    // timestamp still fills the first window). A window that yields
     // *anything* is served as-is with truncated=true: the cursor is an
     // exact resume point, so a short chunk is merely a smaller step, never
     // a correctness problem. Committed insertion timestamps never exceed
@@ -578,7 +582,7 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
     // window unbounded.
     const bool cap_filters =
         spec.exclude_uncommitted || spec.mode != ScanMode::kSeeDeleted;
-    ScanChunk chunk;
+    bool truncated = false;
     bool final_window = false;
     for (Timestamp width = 1; !final_window; width *= 2) {
       ScanSpec attempt = spec;
@@ -592,23 +596,26 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
       }
       SeqScanOperator scan(rt->store.get(), obj, std::move(attempt), m.owner,
                            locking);
-      HARBOR_ASSIGN_OR_RETURN(
-          chunk, CollectChunkByInsertion(&scan, after, m.max_tuples));
+      HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
       pages_visited += scan.pages_visited();
-      if (!chunk.tuples.empty()) break;
+      truncated = SelectChunk(&keys, after, m.max_tuples);
+      if (!keys.empty()) break;
     }
-    if (!chunk.truncated && !final_window && !chunk.tuples.empty()) {
-      chunk.truncated = true;
-      chunk.last_insertion_ts = chunk.tuples.back().insertion_ts();
-      chunk.last_tuple_id = chunk.tuples.back().tuple_id();
+    if (!keys.empty()) {
+      reply.truncated = truncated || !final_window;
+      reply.last_insertion_ts = keys.back().insertion_ts;
+      reply.last_tuple_id = keys.back().tuple_id;
     }
-    tuples = std::move(chunk.tuples);
-    reply.truncated = chunk.truncated;
-    reply.last_insertion_ts = chunk.last_insertion_ts;
-    reply.last_tuple_id = chunk.last_tuple_id;
+    if (!m.minimal_projection) {
+      HARBOR_ASSIGN_OR_RETURN(tuples, rt->store->ReadVersions(obj, keys));
+    }
   } else {
     SeqScanOperator scan(rt->store.get(), obj, m.spec, m.owner, locking);
-    HARBOR_ASSIGN_OR_RETURN(tuples, CollectAll(&scan));
+    if (m.minimal_projection) {
+      HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
+    } else {
+      HARBOR_ASSIGN_OR_RETURN(tuples, CollectAll(&scan));
+    }
     pages_visited = scan.pages_visited();
   }
   if (m.snapshot_read) {
@@ -633,10 +640,10 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
   }
   reply.minimal = m.minimal_projection;
   if (m.minimal_projection) {
-    reply.id_deletions.reserve(tuples.size());
-    for (const Tuple& t : tuples) {
+    reply.id_deletions.reserve(keys.size());
+    for (const VersionKey& k : keys) {
       reply.id_deletions.push_back(
-          IdDeletion{t.tuple_id(), t.deletion_ts(), t.insertion_ts()});
+          IdDeletion{k.tuple_id, k.deletion_ts, k.insertion_ts});
     }
   } else {
     reply.schema = obj->schema;

@@ -5,109 +5,6 @@
 
 namespace harbor {
 
-// ---------------------------------------------------------------- Filter
-
-FilterOperator::FilterOperator(std::unique_ptr<Operator> child,
-                               Predicate predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-Status FilterOperator::Open() {
-  HARBOR_RETURN_NOT_OK(child_->Open());
-  HARBOR_ASSIGN_OR_RETURN(bound_, predicate_.Bind(child_->schema()));
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> FilterOperator::Next() {
-  while (true) {
-    HARBOR_ASSIGN_OR_RETURN(std::optional<Tuple> t, child_->Next());
-    if (!t.has_value()) return std::optional<Tuple>{};
-    if (predicate_.EvalBound(bound_, *t)) return t;
-  }
-}
-
-Status FilterOperator::Rewind() { return child_->Rewind(); }
-
-// --------------------------------------------------------------- Project
-
-ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
-                                 std::vector<std::string> columns)
-    : child_(std::move(child)), columns_(std::move(columns)) {}
-
-Status ProjectOperator::Open() {
-  HARBOR_RETURN_NOT_OK(child_->Open());
-  mapping_.clear();
-  std::vector<Column> cols;
-  for (const std::string& name : columns_) {
-    HARBOR_ASSIGN_OR_RETURN(size_t idx, child_->schema().ColumnIndex(name));
-    mapping_.push_back(idx);
-    cols.push_back(child_->schema().column(idx));
-  }
-  schema_ = Schema(std::move(cols));
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> ProjectOperator::Next() {
-  HARBOR_ASSIGN_OR_RETURN(std::optional<Tuple> t, child_->Next());
-  if (!t.has_value()) return std::optional<Tuple>{};
-  Tuple out = t->RemapColumns(mapping_);
-  out.set_record_id(t->record_id());
-  return std::optional<Tuple>(std::move(out));
-}
-
-Status ProjectOperator::Rewind() { return child_->Rewind(); }
-
-// ------------------------------------------------------------------ Join
-
-NestedLoopsJoinOperator::NestedLoopsJoinOperator(
-    std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
-    std::string outer_column, std::string inner_column)
-    : outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      outer_column_(std::move(outer_column)),
-      inner_column_(std::move(inner_column)) {}
-
-Status NestedLoopsJoinOperator::Open() {
-  HARBOR_RETURN_NOT_OK(outer_->Open());
-  HARBOR_RETURN_NOT_OK(inner_->Open());
-  HARBOR_ASSIGN_OR_RETURN(outer_idx_,
-                          outer_->schema().ColumnIndex(outer_column_));
-  HARBOR_ASSIGN_OR_RETURN(inner_idx_,
-                          inner_->schema().ColumnIndex(inner_column_));
-  std::vector<Column> cols = outer_->schema().columns();
-  for (const Column& c : inner_->schema().columns()) cols.push_back(c);
-  schema_ = Schema(std::move(cols));
-  current_outer_.reset();
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> NestedLoopsJoinOperator::Next() {
-  while (true) {
-    if (!current_outer_.has_value()) {
-      HARBOR_ASSIGN_OR_RETURN(current_outer_, outer_->Next());
-      if (!current_outer_.has_value()) return std::optional<Tuple>{};
-      HARBOR_RETURN_NOT_OK(inner_->Rewind());
-    }
-    HARBOR_ASSIGN_OR_RETURN(std::optional<Tuple> inner_t, inner_->Next());
-    if (!inner_t.has_value()) {
-      current_outer_.reset();
-      continue;
-    }
-    if (CompareValues(current_outer_->value(outer_idx_), CompareOp::kEq,
-                      inner_t->value(inner_idx_))) {
-      std::vector<Value> vals = current_outer_->values();
-      for (const Value& v : inner_t->values()) vals.push_back(v);
-      return std::optional<Tuple>(Tuple(std::move(vals)));
-    }
-  }
-}
-
-Status NestedLoopsJoinOperator::Rewind() {
-  HARBOR_RETURN_NOT_OK(outer_->Rewind());
-  HARBOR_RETURN_NOT_OK(inner_->Rewind());
-  current_outer_.reset();
-  return Status::OK();
-}
-
 // ------------------------------------------------------------- Aggregate
 
 AggregateOperator::AggregateOperator(std::unique_ptr<Operator> child,

@@ -11,66 +11,6 @@
 
 namespace harbor {
 
-/// \brief Emits child tuples satisfying a predicate (§6.1.5 "predicate
-/// filters").
-class FilterOperator : public Operator {
- public:
-  FilterOperator(std::unique_ptr<Operator> child, Predicate predicate);
-
-  Status Open() override;
-  Result<std::optional<Tuple>> Next() override;
-  Status Rewind() override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  Predicate predicate_;
-  std::vector<size_t> bound_;
-};
-
-/// \brief Projects a subset (or reordering) of the child's columns.
-class ProjectOperator : public Operator {
- public:
-  ProjectOperator(std::unique_ptr<Operator> child,
-                  std::vector<std::string> columns);
-
-  Status Open() override;
-  Result<std::optional<Tuple>> Next() override;
-  Status Rewind() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<std::string> columns_;
-  std::vector<size_t> mapping_;
-  Schema schema_;
-};
-
-/// \brief Nested-loops equi-join on one column from each side (§6.1.5).
-/// The inner (right) input is rewound for every outer tuple, exercising the
-/// iterator interface's rewind contract.
-class NestedLoopsJoinOperator : public Operator {
- public:
-  NestedLoopsJoinOperator(std::unique_ptr<Operator> outer,
-                          std::unique_ptr<Operator> inner,
-                          std::string outer_column, std::string inner_column);
-
-  Status Open() override;
-  Result<std::optional<Tuple>> Next() override;
-  Status Rewind() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;
-  std::string outer_column_;
-  std::string inner_column_;
-  size_t outer_idx_ = 0;
-  size_t inner_idx_ = 0;
-  Schema schema_;
-  std::optional<Tuple> current_outer_;
-};
-
 /// Aggregate functions for AggregateOperator.
 enum class AggFunc : uint8_t { kCount, kSum, kMin, kMax, kAvg };
 
@@ -111,33 +51,6 @@ class AggregateOperator : public Operator {
   std::vector<GroupState> groups_;
   size_t cursor_ = 0;
   bool built_ = false;
-};
-
-/// \brief Replays a pre-materialized vector of tuples; the building block
-/// for network operators (tuples received from a remote site) and tests.
-class MaterializedOperator : public Operator {
- public:
-  MaterializedOperator(Schema schema, std::vector<Tuple> tuples)
-      : schema_(std::move(schema)), tuples_(std::move(tuples)) {}
-
-  Status Open() override {
-    cursor_ = 0;
-    return Status::OK();
-  }
-  Result<std::optional<Tuple>> Next() override {
-    if (cursor_ >= tuples_.size()) return std::optional<Tuple>{};
-    return std::optional<Tuple>(tuples_[cursor_++]);
-  }
-  Status Rewind() override {
-    cursor_ = 0;
-    return Status::OK();
-  }
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Schema schema_;
-  std::vector<Tuple> tuples_;
-  size_t cursor_ = 0;
 };
 
 }  // namespace harbor

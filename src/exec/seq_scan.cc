@@ -1,8 +1,7 @@
 #include "exec/seq_scan.h"
 
+#include <algorithm>
 #include <cstring>
-#include <iterator>
-#include <map>
 #include <utility>
 
 #include "exec/predicate.h"
@@ -12,13 +11,28 @@ namespace harbor {
 
 namespace {
 
-/// Integer view of a partition-key column.
-int64_t IntValueOf(const Tuple& t, size_t idx) {
-  const Value& v = t.value(idx);
-  switch (v.type()) {
-    case ColumnType::kInt32: return v.AsInt32();
-    case ColumnType::kInt64: return v.AsInt64();
-    default: return static_cast<int64_t>(v.AsNumeric());
+template <typename T>
+T Load(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// A packed numeric column widened to double, as CompareValues widens it.
+double PackedNumber(const uint8_t* p, ColumnType type) {
+  switch (type) {
+    case ColumnType::kInt32: return Load<int32_t>(p);
+    case ColumnType::kInt64: return static_cast<double>(Load<int64_t>(p));
+    default: return Load<double>(p);
+  }
+}
+
+/// Integer view of a packed partition-key column.
+int64_t PackedInt(const uint8_t* p, ColumnType type) {
+  switch (type) {
+    case ColumnType::kInt32: return Load<int32_t>(p);
+    case ColumnType::kInt64: return Load<int64_t>(p);
+    default: return static_cast<int64_t>(Load<double>(p));
   }
 }
 
@@ -177,68 +191,60 @@ Status SeqScanOperator::LoadNextBatch() {
   }
 }
 
-void SeqScanOperator::EvaluateSlot(const uint8_t* data, PageId pid,
-                                   uint16_t slot) {
-  PackedSystemHeader h = PackedSystemHeader::Read(data);
-
-  Timestamp eff_ins = h.insertion_ts;
-  Timestamp eff_del = h.deletion_ts;
-  switch (spec_.mode) {
+// `inline`: both per-slot loops call this, and the hint keeps it inlined.
+inline bool SeqScanOperator::SlotQualifies(const uint8_t* data,
+                                           RecordId rid,
+                                           VersionKey* key) const {
+  const ScanSpec& s = spec_;
+  const PackedSystemHeader h = PackedSystemHeader::Read(data);
+  const Timestamp ins = h.insertion_ts;
+  Timestamp del = h.deletion_ts;
+  switch (s.mode) {
     case ScanMode::kVisible:
-      if (eff_ins == kUncommittedTimestamp || eff_ins > spec_.as_of) return;
-      if (eff_del != kNotDeleted && eff_del <= spec_.as_of) return;
+      if (ins == kUncommittedTimestamp || ins > s.as_of) return false;
+      if (del != kNotDeleted && del <= s.as_of) return false;
       break;
     case ScanMode::kSeeDeleted:
       break;
     case ScanMode::kSeeDeletedHistorical:
       // Insertions after the snapshot are invisible; deletions after it
       // appear undone (§5.3).
-      if (eff_ins > spec_.as_of) return;  // includes uncommitted
-      if (eff_del > spec_.as_of) eff_del = kNotDeleted;
+      if (ins > s.as_of) return false;  // includes uncommitted
+      if (del > s.as_of) del = kNotDeleted;
       break;
   }
 
-  if (spec_.has_insertion_at_or_before &&
-      eff_ins > spec_.insertion_at_or_before) {
-    return;
+  if (s.has_insertion_at_or_before && ins > s.insertion_at_or_before) {
+    return false;
   }
-  if (spec_.has_insertion_after && eff_ins <= spec_.insertion_after) return;
-  if (spec_.has_deletion_after && eff_del <= spec_.deletion_after) return;
-  if (spec_.exclude_uncommitted && eff_ins == kUncommittedTimestamp) return;
-
-  for (const PackedProbe& p : packed_probes_) {
-    double lhs = 0.0;
-    switch (p.type) {
-      case ColumnType::kInt32: {
-        int32_t v;
-        std::memcpy(&v, data + p.offset, sizeof(v));
-        lhs = static_cast<double>(v);
-        break;
-      }
-      case ColumnType::kInt64: {
-        int64_t v;
-        std::memcpy(&v, data + p.offset, sizeof(v));
-        lhs = static_cast<double>(v);
-        break;
-      }
-      case ColumnType::kDouble:
-        std::memcpy(&lhs, data + p.offset, sizeof(lhs));
-        break;
-      case ColumnType::kChar:
-        continue;  // never registered as a probe
+  if (s.has_insertion_after && ins <= s.insertion_after) return false;
+  if (s.has_deletion_after && del <= s.deletion_after) return false;
+  if (s.exclude_uncommitted && ins == kUncommittedTimestamp) return false;
+  if (range_column_ >= 0) {
+    const size_t col = static_cast<size_t>(range_column_);
+    if (!s.range.Contains(PackedInt(
+            data + kTupleSystemHeaderBytes + obj_->schema.ColumnOffset(col),
+            obj_->schema.column(col).type))) {
+      return false;
     }
-    if (!CompareNumeric(lhs, p.op, p.rhs_num)) return;
   }
+  for (const PackedProbe& p : packed_probes_) {
+    if (!CompareNumeric(PackedNumber(data + p.offset, p.type), p.op,
+                        p.rhs_num)) {
+      return false;
+    }
+  }
+  *key = VersionKey{ins, del, h.tuple_id, rid};
+  return true;
+}
 
+void SeqScanOperator::EvaluateSlot(const uint8_t* data, PageId pid,
+                                   uint16_t slot) {
+  VersionKey key;
+  if (!SlotQualifies(data, RecordId{pid, slot}, &key)) return;
   Tuple t = Tuple::Unpack(obj_->schema, data);
-  t.set_deletion_ts(eff_del);  // present the snapshot view
-  t.set_record_id(RecordId{pid, slot});
-
-  if (range_column_ >= 0 &&
-      !spec_.range.Contains(
-          IntValueOf(t, static_cast<size_t>(range_column_)))) {
-    return;
-  }
+  t.set_deletion_ts(key.deletion_ts);  // present the snapshot view
+  t.set_record_id(key.rid);
   if (!spec_.predicate.EvalBound(bound_predicate_, t)) return;
   batch_.push_back(std::move(t));
 }
@@ -311,50 +317,78 @@ Result<std::optional<Tuple>> SeqScanOperator::Next() {
   return std::optional<Tuple>(std::move(t));
 }
 
-Result<ScanChunk> CollectChunkByInsertion(Operator* op, const ScanCursor& after,
-                                          size_t max_tuples) {
-  using Key = std::pair<Timestamp, TupleId>;
-  const Key floor{after.insertion_ts, after.tuple_id};
-  // The `max_tuples` smallest qualifying keys, plus any versions tied with
-  // the largest kept key: a tie group is only evicted wholesale, never
-  // split, so the chunk's last key is always a complete resume boundary.
-  std::multimap<Key, Tuple> best;
-  bool dropped = false;
-  HARBOR_RETURN_NOT_OK(op->Open());
-  while (true) {
-    HARBOR_ASSIGN_OR_RETURN(std::optional<Tuple> t, op->Next());
-    if (!t.has_value()) break;
-    const Key k{t->insertion_ts(), t->tuple_id()};
-    if (after.valid && k <= floor) continue;
-    if (max_tuples == 0 || best.size() < max_tuples) {
-      best.emplace(k, std::move(*t));
+Result<std::vector<VersionKey>> SeqScanOperator::ScanKeys() {
+  HARBOR_RETURN_NOT_OK(Open());
+  const uint32_t tuple_bytes = obj_->schema.tuple_bytes();
+  // Numeric conjuncts are fully answered by the packed probes; only a CHAR
+  // conjunct needs the unpacked tuple.
+  const bool unpack =
+      packed_probes_.size() < spec_.predicate.conjuncts().size();
+  std::vector<VersionKey> keys;
+  for (size_t seg = 0; seg < obj_->file->num_segments(); ++seg) {
+    if (!SegmentNeeded(seg)) {
+      ++segments_pruned_;
       continue;
     }
-    const Key max_key = best.rbegin()->first;
-    if (k > max_key) {
-      dropped = true;  // ranks beyond the chunk
-      continue;
-    }
-    best.emplace(k, std::move(*t));
-    // Evict the largest tie group if the chunk stays full without it.
-    auto group = best.equal_range(best.rbegin()->first);
-    const size_t group_size =
-        static_cast<size_t>(std::distance(group.first, group.second));
-    if (best.size() - group_size >= max_tuples) {
-      best.erase(group.first, group.second);
-      dropped = true;
+    ++segments_visited_;
+    for (const PageId& pid : obj_->file->PagesOfSegment(seg)) {
+      if (locking_ == ScanLocking::kPageLocks) {
+        HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquirePageLock(
+            owner_, pid, LockMode::kShared));
+      }
+      HARBOR_ASSIGN_OR_RETURN(PageHandle handle,
+                              store_->buffer_pool()->GetPage(
+                                  pid, /*sequential=*/true));
+      ++pages_visited_;
+      PageLatchGuard latch(handle);
+      HeapPage view(handle.data(), tuple_bytes);
+      for (uint16_t slot = 0; slot < view.capacity(); ++slot) {
+        if (!view.IsOccupied(slot)) continue;
+        const uint8_t* data = view.TupleData(slot);
+        VersionKey key;
+        if (!SlotQualifies(data, RecordId{pid, slot}, &key)) continue;
+        if (unpack && !spec_.predicate.EvalBound(
+                          bound_predicate_,
+                          Tuple::Unpack(obj_->schema, data))) {
+          continue;
+        }
+        keys.push_back(key);
+      }
     }
   }
-  ScanChunk chunk;
-  chunk.truncated = dropped;
-  chunk.tuples.reserve(best.size());
-  for (auto& [k, t] : best) chunk.tuples.push_back(std::move(t));
-  if (!chunk.tuples.empty()) {
-    const Tuple& last = chunk.tuples.back();
-    chunk.last_insertion_ts = last.insertion_ts();
-    chunk.last_tuple_id = last.tuple_id();
+  return keys;
+}
+
+bool SelectChunk(std::vector<VersionKey>* keys, const ScanCursor& after,
+                 size_t max_tuples) {
+  const auto key_of = [](const VersionKey& k) {
+    return std::make_pair(k.insertion_ts, k.tuple_id);
+  };
+  // Record ids order a tie group, so equal inputs give equal chunks.
+  const auto less = [&](const VersionKey& a, const VersionKey& b) {
+    return key_of(a) != key_of(b) ? key_of(a) < key_of(b) : a.rid < b.rid;
+  };
+  if (after.valid) {
+    const auto floor = std::make_pair(after.insertion_ts, after.tuple_id);
+    std::erase_if(*keys,
+                  [&](const VersionKey& k) { return key_of(k) <= floor; });
   }
-  return chunk;
+  bool truncated = false;
+  if (max_tuples > 0 && keys->size() > max_tuples) {
+    // The max_tuples-th smallest key closes the chunk; the rest of its tie
+    // group stays in, everything larger is dropped.
+    const auto edge = keys->begin() + static_cast<ptrdiff_t>(max_tuples - 1);
+    std::nth_element(keys->begin(), edge, keys->end(), less);
+    const auto edge_key = key_of(*edge);
+    const auto tail =
+        std::partition(edge + 1, keys->end(), [&](const VersionKey& k) {
+          return key_of(k) == edge_key;
+        });
+    truncated = tail != keys->end();
+    keys->erase(tail, keys->end());
+  }
+  std::sort(keys->begin(), keys->end(), less);
+  return truncated;
 }
 
 }  // namespace harbor

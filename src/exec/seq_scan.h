@@ -55,6 +55,14 @@ class SeqScanOperator : public Operator {
   /// True when this scan resolved through the secondary index.
   bool used_index() const { return use_index_; }
 
+  /// Runs the whole scan key-only: opens it, then reads the system header of
+  /// every occupied slot in the segments the spec's timestamp predicates
+  /// leave (on the authoritative row pages of either layout, so no columnar
+  /// image is built) and applies the same visibility, timestamp, range and
+  /// column filters as Next(). Builds no Tuple unless the predicate has a
+  /// conjunct that packed bytes cannot answer. Keys come in storage order.
+  Result<std::vector<VersionKey>> ScanKeys();
+
  private:
   /// A cheap predicate probe evaluated on packed row bytes before a slot is
   /// unpacked into a Tuple: numeric column vs numeric constant, compared
@@ -69,8 +77,12 @@ class SeqScanOperator : public Operator {
   bool SegmentNeeded(size_t seg) const;
   Status LoadNextBatch();
   Status LoadCandidateBatch();
-  /// Applies the spec's visibility, timestamp, range and column predicates
-  /// to one occupied slot; appends the qualifying tuple to the batch.
+  /// Applies the spec's visibility, timestamp and range predicates and the
+  /// packed numeric probes to the bytes of the occupied slot at `rid`; on
+  /// success `key` holds its system fields as the scan presents them.
+  bool SlotQualifies(const uint8_t* data, RecordId rid, VersionKey* key) const;
+  /// SlotQualifies plus the full column predicate on the unpacked tuple;
+  /// appends the qualifying tuple to the batch.
   void EvaluateSlot(const uint8_t* data, PageId pid, uint16_t slot);
   /// True when `seg` should be served from its columnar image.
   bool ColumnarEligible(size_t seg) const;
@@ -117,24 +129,16 @@ struct ScanCursor {
   TupleId tuple_id = 0;
 };
 
-/// One bounded chunk of a scan, ordered by (insertion_ts, tuple_id).
-/// `truncated` means qualifying tuples with keys beyond `last_*` remain.
-struct ScanChunk {
-  std::vector<Tuple> tuples;
-  bool truncated = false;
-  Timestamp last_insertion_ts = 0;  // key of tuples.back() when non-empty
-  TupleId last_tuple_id = 0;
-};
-
-/// Drains `op` and keeps the `max_tuples` smallest (insertion_ts, tuple_id)
-/// keys strictly greater than `after`, in ascending order — O(max_tuples)
-/// memory regardless of how many tuples qualify. A chunk never ends in the
-/// middle of a group of versions sharing one key (an update re-inserting a
-/// tuple_id at its own commit time creates such groups), so the reply may
-/// exceed max_tuples by the tie group's size; this is what makes the cursor
-/// an exact resume point. max_tuples == 0 collects everything.
-Result<ScanChunk> CollectChunkByInsertion(Operator* op, const ScanCursor& after,
-                                          size_t max_tuples);
+/// Key-first chunk selection for chunked recovery scans: drops the keys at
+/// or before `after`, keeps the `max_tuples` smallest (insertion_ts,
+/// tuple_id) keys and sorts them ascending. A chunk never ends in the middle
+/// of a group of versions sharing one key (an update re-inserting a
+/// tuple_id at its own commit time creates such groups), so it may exceed
+/// max_tuples by the tie group's size; this is what makes its last key an
+/// exact resume point. max_tuples == 0 keeps everything. Returns true when
+/// qualifying keys beyond the chunk were dropped.
+bool SelectChunk(std::vector<VersionKey>* keys, const ScanCursor& after,
+                 size_t max_tuples);
 
 }  // namespace harbor
 

@@ -94,6 +94,16 @@ struct PackedSystemHeader {
   void Write(uint8_t* tuple_data) const;
 };
 
+/// A stored version located by its system fields alone: what recovery's
+/// key scans yield instead of a materialized Tuple. `deletion_ts` is the
+/// value the scan presents (a historical scan shows later deletions undone).
+struct VersionKey {
+  Timestamp insertion_ts = 0;
+  Timestamp deletion_ts = kNotDeleted;
+  TupleId tuple_id = 0;
+  RecordId rid;
+};
+
 }  // namespace harbor
 
 #endif  // HARBOR_STORAGE_TUPLE_H_

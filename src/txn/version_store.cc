@@ -491,6 +491,31 @@ Result<Tuple> VersionStore::ReadTuple(TableObject* obj, RecordId rid) {
   return Tuple::Unpack(obj->schema, view.TupleData(rid.slot));
 }
 
+Result<std::vector<Tuple>> VersionStore::ReadVersions(
+    TableObject* obj, const std::vector<VersionKey>& keys) {
+  std::vector<Tuple> out;
+  out.reserve(keys.size());
+  for (size_t i = 0; i < keys.size();) {
+    const PageId pid = keys[i].rid.page;
+    HARBOR_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage(pid));
+    PageLatchGuard latch(handle);
+    HeapPage view(handle.data(), obj->schema.tuple_bytes());
+    for (; i < keys.size() && keys[i].rid.page == pid; ++i) {
+      const VersionKey& k = keys[i];
+      if (k.rid.slot >= view.capacity() || !view.IsOccupied(k.rid.slot)) {
+        continue;
+      }
+      const uint8_t* data = view.TupleData(k.rid.slot);
+      if (PackedSystemHeader::Read(data).tuple_id != k.tuple_id) continue;
+      Tuple t = Tuple::Unpack(obj->schema, data);
+      t.set_deletion_ts(k.deletion_ts);
+      t.set_record_id(k.rid);
+      out.push_back(std::move(t));
+    }
+  }
+  return out;
+}
+
 Status VersionStore::EnsureIndex(TableObject* obj) {
   if (obj->index_built.load()) return Status::OK();
   return RebuildIndex(obj);

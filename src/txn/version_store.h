@@ -91,6 +91,13 @@ class VersionStore {
   /// Reads one tuple version (latch-only; returns NotFound for empty slots).
   Result<Tuple> ReadTuple(TableObject* obj, RecordId rid);
 
+  /// Materializes the versions a key scan selected, in `keys` order, each
+  /// with the deletion time its key presents. Latches each page once per run
+  /// of consecutive keys on it. A slot no longer holding its key's tuple id
+  /// was removed after the key scan and is skipped.
+  Result<std::vector<Tuple>> ReadVersions(TableObject* obj,
+                                          const std::vector<VersionKey>& keys);
+
   /// Rebuilds the volatile tuple-id index by scanning the object.
   Status RebuildIndex(TableObject* obj);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "exec/seq_scan.h"
 #include "tests/test_util.h"
@@ -33,6 +34,35 @@ Result<TableId> MakeTable(Cluster* cluster, const std::string& name) {
   spec.schema = SmallSchema();
   spec.default_segment_page_budget = 4;
   return cluster->CreateTable(spec);
+}
+
+// A default cluster stores its sites in a fresh temp directory and deletes
+// it on destruction; a directory the caller supplied is left in place.
+TEST(ClusterTest, DeletesOnlyTheTempDirItCreated) {
+  std::string owned;
+  {
+    auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+    ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
+    ASSERT_OK(cluster->coordinator()->InsertTxn(table, SmallRow(1, 1, "x")));
+    ASSERT_OK(cluster->CheckpointAll());
+    owned = cluster->base_dir();
+    ASSERT_TRUE(std::filesystem::is_directory(owned));
+  }
+  EXPECT_FALSE(std::filesystem::exists(owned));
+
+  char tmpl[] = "/tmp/harbor-cluster-test-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string given = tmpl;
+  {
+    ClusterOptions opt;
+    opt.base_dir = given;
+    ASSERT_OK_AND_ASSIGN(auto cluster, Cluster::Create(opt));
+    ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
+    ASSERT_OK(cluster->coordinator()->InsertTxn(table, SmallRow(1, 1, "x")));
+    ASSERT_OK(cluster->CheckpointAll());
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(given + "/site1"));
+  std::filesystem::remove_all(given);
 }
 
 TEST(ClusterTest, InsertAndQuery) {

@@ -1,5 +1,5 @@
-// Unit tests for the executor: scan modes and segment pruning, predicates,
-// relational operators (filter/project/join/aggregate), and the DML
+// Unit tests for the executor: scan modes and segment pruning, key scans
+// and recovery chunk selection, predicates, aggregation, and the DML
 // executors.
 
 #include <gtest/gtest.h>
@@ -112,6 +112,15 @@ class ExecTest : public ::testing::Test {
   std::unique_ptr<SeqScanOperator> Scan(ScanSpec spec) {
     spec.object_id = 1;
     return std::make_unique<SeqScanOperator>(&store_, obj_, std::move(spec));
+  }
+
+  // One key-first recovery chunk, selected as a serving site selects it.
+  std::vector<VersionKey> Chunk(ScanSpec spec, const ScanCursor& after,
+                                size_t max_tuples, bool* truncated) {
+    auto keys = Scan(std::move(spec))->ScanKeys();
+    HARBOR_CHECK_OK(keys.status());
+    *truncated = SelectChunk(&*keys, after, max_tuples);
+    return std::move(*keys);
   }
 
   FileManager fm_;
@@ -263,21 +272,18 @@ TEST_F(ExecTest, ScanChunkPagesThroughInAscendingKeyOrder) {
   std::vector<TupleId> seen;
   int chunks = 0;
   while (true) {
-    auto scan = Scan(spec);
-    ASSERT_OK_AND_ASSIGN(ScanChunk chunk,
-                         CollectChunkByInsertion(scan.get(), cursor, 2));
+    bool truncated = false;
+    std::vector<VersionKey> chunk = Chunk(spec, cursor, 2, &truncated);
     ++chunks;
     Timestamp prev_ts = cursor.valid ? cursor.insertion_ts : 0;
-    for (const Tuple& t : chunk.tuples) {
-      EXPECT_GE(t.insertion_ts(), prev_ts);
-      prev_ts = t.insertion_ts();
-      seen.push_back(t.tuple_id());
+    for (const VersionKey& k : chunk) {
+      EXPECT_GE(k.insertion_ts, prev_ts);
+      prev_ts = k.insertion_ts;
+      seen.push_back(k.tuple_id);
     }
-    if (!chunk.truncated) break;
-    EXPECT_EQ(chunk.tuples.size(), 2u);
-    EXPECT_EQ(chunk.last_insertion_ts, chunk.tuples.back().insertion_ts());
-    EXPECT_EQ(chunk.last_tuple_id, chunk.tuples.back().tuple_id());
-    cursor = ScanCursor{true, chunk.last_insertion_ts, chunk.last_tuple_id};
+    if (!truncated) break;
+    ASSERT_EQ(chunk.size(), 2u);
+    cursor = ScanCursor{true, chunk.back().insertion_ts, chunk.back().tuple_id};
   }
   EXPECT_EQ(chunks, 3);
   EXPECT_EQ(seen, (std::vector<TupleId>{1, 2, 3, 4, 5}));
@@ -295,35 +301,38 @@ TEST_F(ExecTest, ScanChunkNeverSplitsAnInsertionKeyTieGroup) {
 
   ScanSpec spec;
   spec.mode = ScanMode::kSeeDeleted;
-  auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(ScanChunk first,
-                       CollectChunkByInsertion(scan.get(), ScanCursor{}, 2));
+  bool truncated = false;
+  std::vector<VersionKey> first = Chunk(spec, ScanCursor{}, 2, &truncated);
   // The reply exceeds max_tuples rather than splitting the group.
-  ASSERT_EQ(first.tuples.size(), 4u);
-  EXPECT_TRUE(first.truncated);
-  EXPECT_EQ(first.last_insertion_ts, 5u);
-  EXPECT_EQ(first.last_tuple_id, 2u);
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(first.back().insertion_ts, 5u);
+  EXPECT_EQ(first.back().tuple_id, 2u);
 
-  auto scan2 = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(
-      ScanChunk rest,
-      CollectChunkByInsertion(
-          scan2.get(), ScanCursor{true, first.last_insertion_ts,
-                                  first.last_tuple_id}, 2));
-  ASSERT_EQ(rest.tuples.size(), 1u);
-  EXPECT_EQ(rest.tuples[0].tuple_id(), 3u);
-  EXPECT_FALSE(rest.truncated);
+  // Only the chunk's rows are materialized, each with its key's view.
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, store_.ReadVersions(obj_, first));
+  ASSERT_EQ(rows.size(), 4u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].tuple_id(), first[i].tuple_id);
+    EXPECT_EQ(rows[i].deletion_ts(), first[i].deletion_ts);
+    EXPECT_EQ(rows[i].record_id(), first[i].rid);
+  }
+
+  std::vector<VersionKey> rest = Chunk(
+      spec, ScanCursor{true, first.back().insertion_ts, first.back().tuple_id},
+      2, &truncated);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].tuple_id, 3u);
+  EXPECT_FALSE(truncated);
 }
 
 TEST_F(ExecTest, ScanChunkZeroLimitCollectsEverything) {
   for (int i = 0; i < 30; ++i) Load(static_cast<TupleId>(i), i, 1 + i);
   ScanSpec spec;
   spec.mode = ScanMode::kSeeDeleted;
-  auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(ScanChunk chunk,
-                       CollectChunkByInsertion(scan.get(), ScanCursor{}, 0));
-  EXPECT_EQ(chunk.tuples.size(), 30u);
-  EXPECT_FALSE(chunk.truncated);
+  bool truncated = true;
+  EXPECT_EQ(Chunk(spec, ScanCursor{}, 0, &truncated).size(), 30u);
+  EXPECT_FALSE(truncated);
 }
 
 TEST_F(ExecTest, ScanChunkCursorIsStrictlyExclusive) {
@@ -332,56 +341,51 @@ TEST_F(ExecTest, ScanChunkCursorIsStrictlyExclusive) {
   Load(3, 3, 4);
   ScanSpec spec;
   spec.mode = ScanMode::kSeeDeleted;
-  auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(
-      ScanChunk chunk,
-      CollectChunkByInsertion(scan.get(), ScanCursor{true, 3, 1}, 10));
+  bool truncated = true;
+  std::vector<VersionKey> chunk =
+      Chunk(spec, ScanCursor{true, 3, 1}, 10, &truncated);
   // Key (3,1) is consumed; (3,2) at the same timestamp is not.
-  ASSERT_EQ(chunk.tuples.size(), 2u);
-  EXPECT_EQ(chunk.tuples[0].tuple_id(), 2u);
-  EXPECT_EQ(chunk.tuples[1].tuple_id(), 3u);
+  ASSERT_EQ(chunk.size(), 2u);
+  EXPECT_EQ(chunk[0].tuple_id, 2u);
+  EXPECT_EQ(chunk[1].tuple_id, 3u);
+  EXPECT_FALSE(truncated);
 }
 
-// ---------------------------------------------------- relational operators
-
-TEST_F(ExecTest, FilterAndProject) {
-  for (int i = 0; i < 10; ++i) Load(static_cast<TupleId>(i), i, 1);
-  ScanSpec spec;
-  spec.mode = ScanMode::kVisible;
-  spec.as_of = 1;
-  Predicate p;
-  p.And("id", CompareOp::kGe, Value(int64_t{6}));
-  auto plan = std::make_unique<ProjectOperator>(
-      std::make_unique<FilterOperator>(Scan(spec), p),
-      std::vector<std::string>{"qty", "id"});
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(plan.get()));
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(plan->schema().column(0).name, "qty");
-  EXPECT_EQ(rows[0].num_values(), 2u);
-  EXPECT_EQ(rows[0].value(0).AsInt64(), rows[0].value(1).AsInt64() * 2);
-}
-
-TEST_F(ExecTest, NestedLoopsJoin) {
-  for (int i = 0; i < 4; ++i) Load(static_cast<TupleId>(i), i, 1);
-  std::vector<Tuple> dim;
-  Schema dim_schema({Column::Int64("key"), Column::Char("label", 8)});
-  for (int i = 0; i < 4; i += 2) {
-    dim.emplace_back(
-        std::vector<Value>{Value(int64_t{i}), Value("lbl" + std::to_string(i))});
+TEST_F(ExecTest, KeyScanSelectsTheRowsOfTheTupleScan) {
+  for (int i = 0; i < 40; ++i) {
+    const Timestamp ins = 1 + i % 7;
+    Load(static_cast<TupleId>(i), i, ins,
+         i % 3 == 0 ? ins + 1 + i % 5 : kNotDeleted, i % 2 == 0 ? "a" : "b");
   }
-  ScanSpec spec;
-  spec.mode = ScanMode::kVisible;
-  spec.as_of = 1;
-  NestedLoopsJoinOperator join(
-      Scan(spec), std::make_unique<MaterializedOperator>(dim_schema, dim),
-      "id", "key");
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&join));
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(join.schema().num_columns(), 5u);
-  for (const Tuple& t : rows) {
-    EXPECT_EQ(t.value(0).AsInt64() % 2, 0);
+  std::vector<ScanSpec> specs(5);
+  specs[0].mode = ScanMode::kVisible;
+  specs[0].as_of = 5;
+  specs[1].mode = ScanMode::kSeeDeletedHistorical;
+  specs[1].as_of = 4;
+  specs[1].has_deletion_after = true;
+  specs[1].deletion_after = 2;
+  specs[2].mode = ScanMode::kSeeDeleted;
+  specs[2].has_insertion_after = true;
+  specs[2].insertion_after = 3;
+  specs[2].range = PartitionRange::On("id", 5, 30);
+  specs[3].mode = ScanMode::kSeeDeleted;
+  specs[3].predicate.And("id", CompareOp::kGe, Value(int64_t{12}));
+  specs[4].mode = ScanMode::kSeeDeleted;  // a CHAR conjunct needs Unpack
+  specs[4].predicate.And("name", CompareOp::kEq, Value(std::string("a")));
+  for (size_t s = 0; s < specs.size(); ++s) {
+    SCOPED_TRACE("spec " + std::to_string(s));
+    auto rows_scan = Scan(specs[s]);
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, CollectAll(rows_scan.get()));
+    auto key_scan = Scan(specs[s]);
+    ASSERT_OK_AND_ASSIGN(std::vector<VersionKey> keys, key_scan->ScanKeys());
+    ASSERT_EQ(keys.size(), rows.size());
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> read,
+                         store_.ReadVersions(obj_, keys));
+    EXPECT_EQ(read, rows);  // both in storage order
   }
 }
+
+// ----------------------------------------------------------- aggregation
 
 TEST_F(ExecTest, AggregateGroupsAndFunctions) {
   // ids 0..9, qty = 2*id; group by parity via name column.

@@ -43,10 +43,20 @@ Result<TableId> MakeTable(Cluster* cluster, const std::string& name,
   return cluster->CreateTable(spec);
 }
 
-// Visible logical contents of worker `i`'s only object, sorted by tuple id.
-std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of) {
+// Worker `i`'s object of `table`, or its first object when `table` is 0.
+TableObject* ObjectOf(Cluster* cluster, int i, TableId table = 0) {
+  for (TableObject* obj : cluster->worker(i)->local_catalog()->objects()) {
+    if (table == 0 || obj->table_id == table) return obj;
+  }
+  return nullptr;
+}
+
+// Visible logical contents of worker `i`'s object of `table` (its only
+// object by default), sorted by tuple id.
+std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of,
+                            TableId table = 0) {
   Worker* w = cluster->worker(i);
-  TableObject* obj = w->local_catalog()->objects()[0];
+  TableObject* obj = ObjectOf(cluster, i, table);
   ScanSpec spec;
   spec.object_id = obj->object_id;
   spec.mode = ScanMode::kVisible;
@@ -64,10 +74,11 @@ std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of) {
   return out;
 }
 
-void ExpectReplicasEqual(Cluster* cluster, Timestamp as_of) {
-  std::vector<Tuple> reference = Contents(cluster, 0, as_of);
+void ExpectReplicasEqual(Cluster* cluster, Timestamp as_of,
+                         TableId table = 0) {
+  std::vector<Tuple> reference = Contents(cluster, 0, as_of, table);
   for (int i = 1; i < cluster->num_workers(); ++i) {
-    std::vector<Tuple> other = Contents(cluster, i, as_of);
+    std::vector<Tuple> other = Contents(cluster, i, as_of, table);
     ASSERT_EQ(reference.size(), other.size()) << "replica " << i;
     for (size_t j = 0; j < reference.size(); ++j) {
       EXPECT_EQ(reference[j], other[j]) << "replica " << i << " row " << j;
@@ -767,6 +778,117 @@ TEST(RecoveryStreamTest, ParallelStreamsSplitTheRoundAcrossBuddies) {
   }
   EXPECT_GE(serving_buddies, 2)
       << "all phase-2 windows streamed from a single buddy";
+  observer.Uninstall();
+}
+
+// A §4.2 bulk-loaded delta shares one insertion timestamp, so no
+// insertion-time window can split it: each chunk must be cut from the keys
+// alone. Recovery of a row and a columnar table with such a delta plus
+// post-checkpoint deletions of base rows copies exactly the delta and the
+// deletions, streams the delta in bounded chunks, and builds no columnar
+// image on any site — the catch-up reads system headers from row pages and
+// materializes only the rows it ships.
+TEST(RecoveryStreamTest, OneTimestampBulkDeltaStreamsKeyFirst) {
+  obs::Observer observer;
+  observer.Install();
+  test::TraceDumpOnFailure dump_on_failure;
+  auto cluster = MakeCluster(CommitProtocol::kOptimized3PC, 3);
+  Coordinator* coord = cluster->coordinator();
+  constexpr size_t kChunk = 16;
+  constexpr int kBase = 200;
+  constexpr int kDelta = 10 * static_cast<int>(kChunk);
+  constexpr int kDeleted = 7;
+
+  std::vector<TableId> tables;
+  for (bool columnar : {false, true}) {
+    TableSpec spec;
+    spec.name = columnar ? "col" : "row";
+    spec.schema = SmallSchema();
+    spec.default_segment_page_budget = 2;  // several sealed base segments
+    // Deletes by id probe the index, so no query warms a buddy's columnar
+    // cache before recovery: it stays as cold as a just-restarted site's.
+    spec.indexed_column = "id";
+    spec.columnar = columnar;
+    ASSERT_OK_AND_ASSIGN(TableId table, cluster->CreateTable(spec));
+    tables.push_back(table);
+    std::vector<LoadRow> base;
+    for (int i = 0; i < kBase; ++i) {
+      LoadRow r;
+      r.tuple_id = static_cast<TupleId>(i + 1);
+      r.insertion_ts = 1 + i / 50;
+      r.values = SmallRow(i, i, "base");
+      base.push_back(std::move(r));
+    }
+    ASSERT_OK(cluster->BulkLoad(table, base, /*seal_segment=*/true));
+  }
+  cluster->AdvanceEpoch(5);
+  ASSERT_OK(cluster->CheckpointAll());
+  cluster->CrashWorker(1);
+
+  const Timestamp delta_ts = cluster->authority()->Now();
+  for (TableId table : tables) {
+    std::vector<LoadRow> delta;
+    for (int i = kBase; i < kBase + kDelta; ++i) {
+      LoadRow r;
+      r.tuple_id = static_cast<TupleId>(i + 1);
+      r.insertion_ts = delta_ts;
+      r.values = SmallRow(i, i, "delta");
+      delta.push_back(std::move(r));
+    }
+    ASSERT_OK(cluster->BulkLoad(table, delta));
+    for (int d = 0; d < kDeleted; ++d) {
+      ASSERT_OK_AND_ASSIGN(TxnId txn, coord->Begin());
+      Predicate p;
+      p.And("id", CompareOp::kEq, Value(int64_t{d * 29}));
+      ASSERT_OK(coord->Delete(txn, table, p));
+      ASSERT_OK(coord->Commit(txn));
+    }
+  }
+  cluster->AdvanceEpoch();
+
+  std::vector<size_t> builds_before;
+  for (int i : {0, 2}) {
+    for (TableId table : tables) {
+      builds_before.push_back(
+          ObjectOf(cluster.get(), i, table)->columnar_cache.builds());
+    }
+  }
+  RecoveryOptions opt;
+  opt.stream_chunk_tuples = kChunk;
+  ASSERT_OK_AND_ASSIGN(RecoveryStats stats, cluster->RecoverWorker(1, opt));
+
+  size_t k = 0;
+  for (int i : {0, 2}) {
+    for (TableId table : tables) {
+      EXPECT_EQ(ObjectOf(cluster.get(), i, table)->columnar_cache.builds(),
+                builds_before[k++])
+          << "buddy " << i << " built a columnar image to serve recovery";
+    }
+  }
+  for (TableId table : tables) {
+    EXPECT_EQ(ObjectOf(cluster.get(), 1, table)->columnar_cache.builds(), 0u)
+        << "the recovering site built a columnar image";
+  }
+  ASSERT_EQ(stats.objects.size(), 2u);
+  for (const ObjectRecoveryStats& o : stats.objects) {
+    EXPECT_EQ(o.phase2_tuples_copied, static_cast<size_t>(kDelta));
+    EXPECT_EQ(o.phase2_deletions_copied, static_cast<size_t>(kDeleted));
+    EXPECT_EQ(o.phase3_tuples_copied + o.phase3_deletions_copied, 0u);
+  }
+  // Both delta streams arrived in bounded chunks: ceil(delta / chunk) each.
+  const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(1));
+  EXPECT_GE(m.counter(obs::CounterId::kRecoveryChunks).value(),
+            2 * ((kDelta + kChunk - 1) / kChunk));
+
+  cluster->AdvanceEpoch();
+  for (TableId table : tables) {
+    ExpectReplicasEqual(cluster.get(), cluster->authority()->StableTime(),
+                        table);
+    EXPECT_EQ(Contents(cluster.get(), 1, cluster->authority()->StableTime(),
+                       table)
+                  .size(),
+              static_cast<size_t>(kBase + kDelta - kDeleted));
+  }
   observer.Uninstall();
 }
 

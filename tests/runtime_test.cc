@@ -368,13 +368,24 @@ TEST(SchedulerTest, SeededDispatchIsDeterministic) {
     for (int s = 0; s < 8; ++s) strands.push_back(sched.CreateStrand(1));
     std::mutex mu;
     std::vector<int> order;
-    // Park the worker so every strand is ready before dispatch starts.
+    // Park the worker so every strand is ready before dispatch starts. The
+    // strand tasks are posted only once the parker is running: otherwise
+    // the worker may wake with some of them already ready and the seeded
+    // pick can run one while this thread is still posting, which makes the
+    // ready sets (and so the order) depend on thread timing.
     std::condition_variable cv;
+    bool parked = false;
     bool go = false;
     sched.Post([&] {
       std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
       cv.wait(lock, [&] { return go; });
     });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked; });
+    }
     for (int i = 0; i < 64; ++i) {
       sched.Post(strands[static_cast<size_t>(i % 8)], [&, i] {
         std::lock_guard<std::mutex> lock(mu);
