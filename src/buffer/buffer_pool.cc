@@ -154,12 +154,17 @@ Status BufferPool::FlushFrame(Frame& frame) {
 
 Result<size_t> BufferPool::TryEvictFrom(Shard& s) {
   std::unique_lock<std::mutex> lk(s.mu);
+  // A frame of this shard changes `state` and `io_busy` only under s.mu,
+  // which we hold, so relaxed loads see their latest values. `pin_count`
+  // drops without the lock: the acquire pairs with the release half of
+  // Unpin's fetch_sub, so the last reader's accesses to the frame happen
+  // before its reuse below.
   auto evictable = [&](const Frame& f) {
     if (f.state.load(std::memory_order_relaxed) != FrameState::kReady) {
       return false;
     }
     if (f.io_busy.load(std::memory_order_relaxed)) return false;
-    if (f.pin_count.load(std::memory_order_relaxed) != 0) return false;
+    if (f.pin_count.load(std::memory_order_acquire) != 0) return false;
     if (opts_.steal == StealPolicy::kNoSteal &&
         f.dirty.load(std::memory_order_relaxed)) {
       return false;

@@ -1,7 +1,6 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
-#include <future>
 
 #include "common/clock.h"
 #include "fault/fault_injector.h"
@@ -186,16 +185,10 @@ Status Coordinator::Distribute(TxnId txn, UpdateRequest request) {
   msg.txn = txn;
   msg.coordinator = options_.site_id;
   msg.request = request;
-  Message encoded = msg.Encode();
 
-  std::vector<std::future<Result<Message>>> futures;
-  futures.reserve(targets.size());
-  for (SiteId s : targets) {
-    futures.push_back(network_->CallAsync(options_.site_id, s, encoded));
-  }
   Status failure = Status::OK();
-  for (size_t i = 0; i < targets.size(); ++i) {
-    Result<Message> r = futures[i].get();
+  for (const Result<Message>& r :
+       network_->CallAll(options_.site_id, targets, msg.Encode())) {
     if (r.ok()) continue;
     if (r.status().IsUnavailable() && options_.continue_on_worker_failure) {
       // §4.3.5: proceed with K-1 safety; the crashed worker recovers later.
@@ -264,17 +257,13 @@ Status Coordinator::Update(TxnId txn, TableId table, Predicate predicate,
 
 // ------------------------------------------------------ commit processing
 
-std::vector<Status> Coordinator::Broadcast(const std::vector<SiteId>& sites,
-                                           const Message& m) {
-  std::vector<std::future<Result<Message>>> futures;
-  futures.reserve(sites.size());
-  for (SiteId s : sites) {
-    futures.push_back(network_->CallAsync(options_.site_id, s, m));
+bool Coordinator::Broadcast(const std::vector<SiteId>& sites,
+                            const Message& m) {
+  bool all_ok = true;
+  for (const auto& r : network_->CallAll(options_.site_id, sites, m)) {
+    all_ok &= r.ok();
   }
-  std::vector<Status> out;
-  out.reserve(sites.size());
-  for (auto& f : futures) out.push_back(f.get().status());
-  return out;
+  return all_ok;
 }
 
 Status Coordinator::LogDecisionForced(TxnId txn, bool commit, Timestamp ts) {
@@ -351,16 +340,12 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
   prepare.txn = ct->id;
   prepare.coordinator = options_.site_id;
   prepare.participants = participants;
-  Message prepare_msg = prepare.Encode();
-  std::vector<std::future<Result<Message>>> votes;
-  votes.reserve(participants.size());
-  for (SiteId s : participants) {
-    votes.push_back(network_->CallAsync(options_.site_id, s, prepare_msg));
-  }
+  std::vector<Result<Message>> votes =
+      network_->CallAll(options_.site_id, participants, prepare.Encode());
   bool all_yes = true;
   std::vector<SiteId> yes_sites;
   for (size_t i = 0; i < participants.size(); ++i) {
-    Result<Message> r = votes[i].get();
+    const Result<Message>& r = votes[i];
     if (!r.ok()) {
       // No response: assume the worker aborted and voted NO (§4.3.2) —
       // unless K-1-safe commit is enabled and the site simply died.
@@ -426,10 +411,8 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     obs::Trace(options_.site_id, "coord.commit.send", ct->id,
                static_cast<int64_t>(ts),
                static_cast<int64_t>(yes_sites.size()));
-    std::vector<Status> acks = Broadcast(yes_sites, commit.Encode());
+    const bool all_acked = Broadcast(yes_sites, commit.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.2pc.after_commit_send"));
-    bool all_acked = true;
-    for (const Status& a : acks) all_acked &= a.ok();
     if (log_ != nullptr) {
       LogRecord end;
       end.type = LogRecordType::kTxnEnd;

@@ -143,9 +143,9 @@ class Coordinator {
   Result<std::shared_ptr<CoordTxn>> GetTxn(TxnId txn);
   void EraseTxn(TxnId txn);
 
-  /// Broadcasts `m` to `sites` in parallel; returns per-site success.
-  std::vector<Status> Broadcast(const std::vector<SiteId>& sites,
-                                const Message& m);
+  /// Sends `m` to `sites` in one fan-out round; true if every site replied
+  /// OK.
+  bool Broadcast(const std::vector<SiteId>& sites, const Message& m);
 
   Status RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct);
   Status AbortWithWorkers(const std::shared_ptr<CoordTxn>& ct,

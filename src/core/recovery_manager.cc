@@ -126,15 +126,13 @@ Status RecoveryManager::RunPhase1(ObjectPlan* plan) {
 
 // ------------------------------------------------------------- Phase 2
 
-Status RecoveryManager::StreamScan(
-    const RecoveryObject& piece, ScanMsg msg,
-    const std::function<Status(ScanReplyMsg&)>& apply) {
-  Network* net = worker_->network();
-  const SiteId self = worker_->site_id();
-  msg.max_tuples = static_cast<uint32_t>(options_.stream_chunk_tuples);
+Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
+                  size_t chunk_tuples,
+                  const std::function<Status(ScanReplyMsg&)>& apply) {
+  msg.max_tuples = static_cast<uint32_t>(chunk_tuples);
   if (msg.max_tuples == 0) {
     HARBOR_ASSIGN_OR_RETURN(Message reply,
-                            net->Call(self, piece.site, msg.Encode()));
+                            net->Call(self, buddy, msg.Encode()));
     if (obs::Enabled()) {
       obs::Observe(self, obs::HistogramId::kRecoveryChunkBytes,
                    reply.WireBytes());
@@ -145,15 +143,12 @@ Status RecoveryManager::StreamScan(
   // Double-buffered pipeline: while chunk N applies locally, chunk N+1 is
   // already on the wire. Each reply carries the next cursor, so the fetch
   // for N+1 can be issued before N is consumed.
-  std::future<Result<Message>> inflight =
-      net->CallAsync(self, piece.site, msg.Encode());
+  std::shared_ptr<Network::Replies> inflight =
+      net->CallAsync(self, buddy, msg.Encode());
   bool first = true;
   while (true) {
     const int64_t wait_start = obs::Enabled() ? NowNanos() : 0;
-    Result<Message> raw = [&] {
-      runtime::ScopedBlocking block;  // fetch wait on the shared pool
-      return inflight.get();
-    }();
+    Result<Message> raw = inflight->get();
     if (obs::Enabled() && !first) {
       // Fetch wait not hidden behind the previous chunk's apply — 0 when
       // the pipeline fully overlaps transfer with apply.
@@ -173,7 +168,7 @@ Status RecoveryManager::StreamScan(
       if (decoded.cap_insertion_ts > 0) {
         msg.cap_insertion_ts = decoded.cap_insertion_ts;
       }
-      inflight = net->CallAsync(self, piece.site, msg.Encode());
+      inflight = net->CallAsync(self, buddy, msg.Encode());
     }
     if (obs::Enabled()) {
       obs::Count(self, obs::CounterId::kRecoveryChunks);
@@ -187,6 +182,14 @@ Status RecoveryManager::StreamScan(
     }
     if (!decoded.truncated) return Status::OK();
   }
+}
+
+Status RecoveryManager::StreamScan(
+    const RecoveryObject& piece, ScanMsg msg,
+    const std::function<Status(ScanReplyMsg&)>& apply) {
+  return harbor::StreamScan(worker_->network(), worker_->site_id(), piece.site,
+                            std::move(msg), options_.stream_chunk_tuples,
+                            apply);
 }
 
 Status RecoveryManager::ApplyRemoteDeletions(

@@ -75,6 +75,14 @@ struct RecoveryStats {
   std::vector<ObjectRecoveryStats> objects;
 };
 
+/// Runs one remote scan of `buddy` as a pipelined chunk stream of up to
+/// `chunk_tuples` tuples per reply: chunk N+1 is fetched with CallAsync —
+/// which never runs on the caller — while `apply` consumes chunk N. With
+/// chunk_tuples == 0 this degenerates to one blocking Call.
+Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
+                  size_t chunk_tuples,
+                  const std::function<Status(ScanReplyMsg&)>& apply);
+
 /// \brief HARBOR's three-phase replica-query recovery (Chapter 5).
 ///
 /// Runs on a restarted worker whose endpoint is up in the kRecovering state:
@@ -159,9 +167,7 @@ class RecoveryManager {
   /// checkpoint and durably clears the resume entries so the round restarts
   /// cleanly from the object checkpoint.
   Status DiscardResume(ObjectPlan* plan);
-  /// Runs one remote scan as a pipelined chunk stream: chunk N+1 is fetched
-  /// with CallAsync while `apply` consumes chunk N. With
-  /// stream_chunk_tuples == 0 this degenerates to one blocking Call.
+  /// harbor::StreamScan from this worker with the configured chunk size.
   Status StreamScan(const RecoveryObject& piece, ScanMsg msg,
                     const std::function<Status(ScanReplyMsg&)>& apply);
   /// Ships deletion times for tuples with ins_after < insertion_ts <=

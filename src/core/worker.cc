@@ -555,12 +555,17 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
     // remaining suffix for its few smallest keys — quadratic across the
     // stream. Restrict each attempt to a ts window above the cursor,
     // widening geometrically while it comes up empty (a delta sharing one
-    // timestamp still fills the first window). A window that yields
-    // *anything* is served as-is with truncated=true: the cursor is an
-    // exact resume point, so a short chunk is merely a smaller step, never
-    // a correctness problem. Committed insertion timestamps never exceed
-    // the authority clock, which caps the widening when the spec carries
-    // no upper bound of its own.
+    // timestamp still fills the first window). A copy chunk whose window
+    // yields less than half a chunk is widened once more, in proportion to
+    // what it found, so a trickle-loaded delta (one row per timestamp)
+    // ships about full chunks instead of one row per round trip. Deletion
+    // chunks (minimal_projection) are not: their keys are the few deleted
+    // rows scattered over the window, and widening would mostly re-scan
+    // rows that were never deleted. A window that stops short of the cap
+    // is served with truncated=true: the cursor is an exact resume point,
+    // so a short chunk is merely a smaller step. Committed insertion
+    // timestamps never exceed the authority clock, which caps the widening
+    // when the spec carries no upper bound of its own.
     const ScanCursor after{m.has_cursor, m.cursor_insertion_ts,
                            m.cursor_tuple_id};
     const Timestamp window_lo =
@@ -584,7 +589,8 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
         spec.exclude_uncommitted || spec.mode != ScanMode::kSeeDeleted;
     bool truncated = false;
     bool final_window = false;
-    for (Timestamp width = 1; !final_window; width *= 2) {
+    bool extrapolated = false;
+    for (Timestamp width = 1; !final_window;) {
       ScanSpec attempt = spec;
       final_window = hi_cap <= window_lo || width >= hi_cap - window_lo;
       if (!final_window) {
@@ -599,7 +605,15 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
       HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
       pages_visited += scan.pages_visited();
       truncated = SelectChunk(&keys, after, m.max_tuples);
-      if (!keys.empty()) break;
+      if (keys.empty()) {
+        width *= 2;
+      } else if (truncated || extrapolated || m.minimal_projection ||
+                 2 * keys.size() >= m.max_tuples) {
+        break;
+      } else {
+        extrapolated = true;
+        width += width * m.max_tuples / keys.size();
+      }
     }
     if (!keys.empty()) {
       reply.truncated = truncated || !final_window;

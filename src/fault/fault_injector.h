@@ -128,7 +128,7 @@ class FaultInjector {
   /// the crash handler per `mode`).
   Status OnPoint(const char* point, SiteId site, CrashMode mode);
 
-  /// Called by Network::CallAsync for every message.
+  /// Called by Network once for every message it sends.
   LinkDecision OnMessage(SiteId from, SiteId to, uint16_t msg_type);
 
   /// Waits until every async crash handler has finished (also done by

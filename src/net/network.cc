@@ -1,6 +1,8 @@
 #include "net/network.h"
 
 #include <chrono>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "fault/fault_injector.h"
@@ -78,14 +80,12 @@ void Network::DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep) {
     std::this_thread::sleep_for(std::chrono::milliseconds(call.delay_ms));
   }
   // Request delivery cost (sender = caller) is paid on the serving task so
-  // the (async) caller is not blocked by it.
+  // a posting caller is not blocked by it.
   sim_.ChargeMessage(call.from, call.request.WireBytes());
   Result<Message> reply = ep->handler(call.from, call.request);
   // Reply flight back to the caller, charged against this site's NIC.
-  if (reply.ok()) {
-    sim_.ChargeMessage(site, reply->WireBytes());
-  }
-  call.promise->set_value(std::move(reply));
+  if (reply.ok()) sim_.ChargeMessage(site, reply->WireBytes());
+  if (call.replies) call.replies->Fill(call.slot, std::move(reply));
   {
     std::lock_guard<std::mutex> lock(ep->mu);
     ep->in_flight--;
@@ -110,10 +110,12 @@ void Network::CrashSite(SiteId site) {
     ep->alive = false;
     ep->stopping = true;
     // Fail whatever is still queued (the abruptly-closed-socket signal).
-    while (!ep->inbox.empty()) {
-      ep->inbox.front().promise->set_value(Status::Unavailable("site crashed"));
-      ep->inbox.pop_front();
+    for (PendingCall& call : ep->inbox) {
+      if (call.replies) {
+        call.replies->Fill(call.slot, Status::Unavailable("site crashed"));
+      }
     }
+    ep->inbox.clear();
     {
       // In-flight handlers drain; their blocking waits were unblocked by
       // the caller (e.g. LockManager::Shutdown) per the crash protocol.
@@ -148,60 +150,83 @@ bool Network::IsAlive(SiteId site) {
   return ep->alive;
 }
 
-std::future<Result<Message>> Network::CallAsync(SiteId from, SiteId to,
-                                                Message request) {
-  auto promise = std::make_shared<std::promise<Result<Message>>>();
-  std::future<Result<Message>> future = promise->get_future();
-  std::shared_ptr<Endpoint> ep = Find(to);
-  if (ep == nullptr) {
-    promise->set_value(
-        Status::Unavailable("no site " + std::to_string(to)));
-    return future;
+std::shared_ptr<Network::Replies> Network::Send(
+    SiteId from, const std::vector<SiteId>& targets, const Message& request,
+    bool may_inline) {
+  auto replies = std::make_shared<Replies>(targets.size());
+  fault::FaultInjector* fi = fault::FaultInjector::Current();
+  // Link decisions are drawn in target order. Targets that may run inline
+  // go last, so the posted handlers overlap theirs.
+  std::vector<std::pair<size_t, std::shared_ptr<Endpoint>>> inline_later;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    std::shared_ptr<Endpoint> ep = Find(targets[i]);
+    fault::LinkDecision link;
+    if (ep != nullptr && fi != nullptr) {
+      link = fi->OnMessage(from, targets[i], request.type);
+    }
+    if (may_inline && !config_.enable_latency && ep != nullptr &&
+        !link.drop && !link.duplicate && link.delay_ms == 0) {
+      inline_later.emplace_back(i, std::move(ep));
+    } else {
+      Deliver(from, targets[i], ep, link, request, replies, i, false);
+    }
   }
+  for (auto& [i, ep] : inline_later) {
+    Deliver(from, targets[i], ep, {}, request, replies, i, true);
+  }
+  return replies;
+}
+
+void Network::Deliver(SiteId from, SiteId to,
+                      const std::shared_ptr<Endpoint>& ep,
+                      const fault::LinkDecision& link, const Message& request,
+                      const std::shared_ptr<Replies>& replies, size_t slot,
+                      bool try_inline) {
+  auto fail = [&](const char* what, const char* why) {
+    replies->Fill(slot, Status::Unavailable(what + std::to_string(to) + why));
+  };
+  if (ep == nullptr) return fail("no site ", "");
   // Link faults: a dropped message surfaces as kUnavailable at the caller
   // (under fail-stop RPC there are no silent losses — a broken connection is
   // the failure signal); a duplicate exercises handler idempotency.
-  int64_t delay_ms = 0;
-  bool duplicate = false;
-  if (fault::FaultInjector* fi = fault::FaultInjector::Current()) {
-    fault::LinkDecision d = fi->OnMessage(from, to, request.type);
-    if (d.drop) {
-      promise->set_value(Status::Unavailable(
-          "fault-injected drop of message to site " + std::to_string(to)));
-      return future;
-    }
-    delay_ms = d.delay_ms;
-    duplicate = d.duplicate;
-  }
+  if (link.drop) return fail("fault-injected drop of message to site ", "");
+  std::optional<runtime::StrandClaim> claim;
   {
     std::lock_guard<std::mutex> lock(ep->mu);
-    if (!ep->alive) {
-      promise->set_value(Status::Unavailable(
-          "site " + std::to_string(to) + " is down (connection refused)"));
-      return future;
+    if (!ep->alive) return fail("site ", " is down (connection refused)");
+    // Only a strand with nothing queued is claimed, so the call it then
+    // dispatches here is this one and overtakes nothing.
+    if (try_inline && ep->inbox.empty() &&
+        !claim.emplace(sched_, ep->strand)) {
+      claim.reset();
     }
-    if (duplicate) {
-      auto dup_promise = std::make_shared<std::promise<Result<Message>>>();
-      ep->inbox.push_back(PendingCall{from, request, dup_promise, delay_ms});
-      sched_->Post(ep->strand,
-                   [this, to, ep] { DispatchOne(to, ep); });
+    auto dispatch = [this, to, ep] { DispatchOne(to, ep); };
+    if (link.duplicate) {
+      ep->inbox.push_back({from, request, nullptr, 0, link.delay_ms});
+      sched_->Post(ep->strand, dispatch);
     }
-    ep->inbox.push_back(
-        PendingCall{from, std::move(request), promise, delay_ms});
-    if (!sched_->Post(ep->strand, [this, to, ep] { DispatchOne(to, ep); })) {
+    ep->inbox.push_back({from, request, replies, slot, link.delay_ms});
+    if (!claim && !sched_->Post(ep->strand, dispatch)) {
       // Runtime shut down under us: fail the call like a crashed site.
-      ep->inbox.back().promise->set_value(
-          Status::Unavailable("site " + std::to_string(to) +
-                              " is down (runtime shut down)"));
       ep->inbox.pop_back();
+      return fail("site ", " is down (runtime shut down)");
     }
   }
-  return future;
+  if (claim) DispatchOne(to, ep);  // the claimed run slot, on this thread
 }
 
 Result<Message> Network::Call(SiteId from, SiteId to, Message request) {
-  runtime::ScopedBlocking block;
-  return CallAsync(from, to, std::move(request)).get();
+  return std::move(CallAll(from, {to}, request)[0]);
+}
+
+std::vector<Result<Message>> Network::CallAll(
+    SiteId from, const std::vector<SiteId>& targets, const Message& request) {
+  return Send(from, targets, request, /*may_inline=*/true)->Wait();
+}
+
+std::shared_ptr<Network::Replies> Network::CallAsync(SiteId from, SiteId to,
+                                                     Message request) {
+  return Send(from, {to}, request, /*may_inline=*/false);
 }
 
 void Network::SubscribeCrash(std::function<void(SiteId)> callback) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -13,6 +12,7 @@
 
 #include "common/result.h"
 #include "common/types.h"
+#include "fault/fault_injector.h"
 #include "runtime/scheduler.h"
 #include "sim/sim_config.h"
 #include "sim/sim_network.h"
@@ -34,13 +34,16 @@ struct Message {
 /// \brief The in-process cluster transport: the simulated stand-in for the
 /// paper's TCP mesh (§6.1.6).
 ///
-/// Each registered site is a *strand* on the shared runtime scheduler: its
-/// inbox drains in FIFO order with at most `num_threads` handlers running
-/// concurrently — the same semantics as the thesis's "each worker runs a
-/// multi-threaded server", but without dedicating OS threads per site, so
-/// hundreds of sites share one fixed pool. Calls are synchronous RPCs
-/// (CallAsync returns a future for parallel fan-out, e.g. PREPARE to all
-/// workers). Delivery charges the SimNetwork latency/bandwidth model.
+/// Each registered site is a *strand* on the shared runtime scheduler: at
+/// most `num_threads` of its handlers run at once, started in FIFO order —
+/// the thesis's "each worker runs a multi-threaded server" without an OS
+/// thread per site. Call and CallAll run a handler on the calling thread
+/// when the link has no modeled cost, the fault injector neither delays nor
+/// duplicates the message, and a run slot of the target strand can be
+/// claimed (runtime::StrandClaim); otherwise, and always for CallAsync, the
+/// request is posted to the site's inbox. Either way the fault injector is
+/// asked once per message, the SimNetwork model charges the request and the
+/// reply, and the handler counts as in flight for CrashSite's drain.
 ///
 /// Failure semantics follow the paper's fail-stop model: CrashSite
 /// atomically marks the endpoint dead, fails queued and future calls with
@@ -59,6 +62,34 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   using Handler = std::function<Result<Message>(SiteId from, const Message&)>;
+
+  /// The replies owed to one caller: a CallAsync's, or a CallAll round's.
+  /// Each slot is filled once; Wait() parks once (a blocking section) for
+  /// the last fill and may be called once.
+  class Replies {
+   public:
+    explicit Replies(size_t n) : slots_(n, Message()), owed_(n) {}
+    void Fill(size_t slot, Result<Message> reply) {
+      std::lock_guard<std::mutex> lock(mu_);
+      slots_[slot] = std::move(reply);
+      if (--owed_ == 0) cv_.notify_all();
+    }
+    std::vector<Result<Message>> Wait() {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (owed_ != 0) {
+        runtime::ScopedBlocking block;
+        cv_.wait(lock, [this] { return owed_ == 0; });
+      }
+      return std::move(slots_);
+    }
+    Result<Message> get() { return std::move(Wait()[0]); }
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::vector<Result<Message>> slots_;
+    size_t owed_;
+  };
 
   /// Registers (or re-registers after a restart) a site endpoint serving up
   /// to `num_threads` concurrent handlers.
@@ -79,9 +110,16 @@ class Network {
   /// Synchronous RPC. Returns kUnavailable if the target is down.
   Result<Message> Call(SiteId from, SiteId to, Message request);
 
-  /// Asynchronous RPC for parallel fan-out.
-  std::future<Result<Message>> CallAsync(SiteId from, SiteId to,
-                                         Message request);
+  /// One fan-out round (e.g. PREPARE to all workers): replies in target
+  /// order. Posted requests go out first, then idle targets run inline,
+  /// then the caller waits once.
+  std::vector<Result<Message>> CallAll(SiteId from,
+                                       const std::vector<SiteId>& targets,
+                                       const Message& request);
+
+  /// Asynchronous RPC: always posted, so the caller runs on while the
+  /// handler does (recovery's chunk prefetch depends on it).
+  std::shared_ptr<Replies> CallAsync(SiteId from, SiteId to, Message request);
 
   /// Registers a callback fired (on the crashing thread) whenever any site
   /// crashes.
@@ -91,8 +129,6 @@ class Network {
   /// cluster-wide executor for timers, recovery fan-out, and sessions.
   runtime::Scheduler* scheduler() { return sched_; }
 
-  SimNetwork& sim() { return sim_; }
-
   /// Messages delivered so far (Table 4.2 accounting).
   int64_t num_messages() const { return sim_.num_messages(); }
 
@@ -100,7 +136,8 @@ class Network {
   struct PendingCall {
     SiteId from;
     Message request;
-    std::shared_ptr<std::promise<Result<Message>>> promise;
+    std::shared_ptr<Replies> replies;  // null for an injected duplicate
+    size_t slot = 0;
     int64_t delay_ms = 0;  // fault-injected in-flight delay
   };
   struct Endpoint {
@@ -115,6 +152,16 @@ class Network {
     int in_flight = 0;
   };
 
+  /// Sends `request` to every target, running it inline where `may_inline`
+  /// and the link allow; each reply lands in the returned slots.
+  std::shared_ptr<Replies> Send(SiteId from, const std::vector<SiteId>& targets,
+                                const Message& request, bool may_inline);
+  /// Delivers one message: with `try_inline`, dispatches it on this thread
+  /// if a run slot of the target strand can be claimed; posts it otherwise.
+  void Deliver(SiteId from, SiteId to, const std::shared_ptr<Endpoint>& ep,
+               const fault::LinkDecision& link, const Message& request,
+               const std::shared_ptr<Replies>& replies, size_t slot,
+               bool try_inline);
   /// One dispatch turn on the endpoint's strand: pops and serves at most
   /// one inbox entry. No-op once the endpoint is stopping.
   void DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep);

@@ -36,7 +36,7 @@ using TimerId = uint64_t;
 /// Ordering: per-strand FIFO pickup with a concurrency width. Completion
 /// order is not constrained (as with real threads).
 ///
-/// Blocking: pool tasks that block (RPC futures, lock waits, crash drains,
+/// Blocking: pool tasks that block (RPC replies, lock waits, crash drains,
 /// simulated device sleeps) must mark the wait with ScopedBlocking. The
 /// scheduler keeps the pool live by spawning bounded *spare* workers while
 /// tasks are blocked; spares retire once the pool is over-provisioned
@@ -149,7 +149,12 @@ class Scheduler {
   void EnsureCapacityLocked();
   void SpawnSpareLocked();
   TimerId ArmTimerLocked(int64_t delay_ns, int64_t period_ns, Task task);
-  bool AllIdleLocked() const { return ready_.empty() && running_total_ == 0; }
+  /// Claims / returns a run slot of `sid` for a StrandClaim.
+  bool TryClaim(StrandId sid);
+  void EndClaim(StrandId sid);
+  /// Bookkeeping after a task (or a claim) on `sid` finishes.
+  void FinishRunLocked(StrandId sid);
+  friend class StrandClaim;
 
   const int core_workers_;
   const int max_spares_;
@@ -193,7 +198,7 @@ class Scheduler {
 /// inside a blocking section, so it is always safe to wrap a wait:
 ///
 ///   runtime::ScopedBlocking block;
-///   future.get();  // or cv.wait(...), sleep_for(...), ...
+///   cv.wait(lock, ...);  // or sleep_for(...), ...
 class ScopedBlocking {
  public:
   ScopedBlocking();
@@ -205,9 +210,40 @@ class ScopedBlocking {
   Scheduler* entered_ = nullptr;
 };
 
-/// The scheduler whose pool is executing the current thread's task, or null
-/// on non-pool threads. Lets deep callees (e.g. the fault injector firing an
-/// async crash) run follow-on work on the same runtime without plumbing.
+/// \brief Runs the calling thread as a task of `strand`, so a caller can do
+/// a strand's work itself instead of posting it and waiting for a worker.
+///
+/// The claim succeeds only when the strand is open, nothing is queued on it
+/// and a run slot is free (`running < width`). A claimed slot counts like a
+/// running task: later posts queue behind it, and releasing the claim
+/// tickets them, so strand FIFO pickup and the width hold exactly. While
+/// the claim is held, CurrentScheduler() is `sched`. A thread that is not
+/// one of `sched`'s workers runs as a guest: it is not pool capacity, so
+/// its blocking sections inside the claim are no-ops, and a worker of a
+/// different scheduler never claims. Inline runs do not count in
+/// tasks_run().
+///
+///   runtime::StrandClaim claim(sched, strand);
+///   if (claim) { RunTheTask(); } else { sched->Post(strand, ...); }
+class StrandClaim {
+ public:
+  StrandClaim(Scheduler* sched, StrandId strand);
+  ~StrandClaim();
+  StrandClaim(const StrandClaim&) = delete;
+  StrandClaim& operator=(const StrandClaim&) = delete;
+
+  explicit operator bool() const { return sched_ != nullptr; }
+
+ private:
+  Scheduler* sched_ = nullptr;
+  StrandId strand_ = 0;
+  bool guest_ = false;
+};
+
+/// The scheduler whose pool is executing the current thread's task (or whose
+/// strand the thread has claimed), or null on non-pool threads. Lets deep
+/// callees (e.g. the fault injector firing an async crash) run follow-on work
+/// on the same runtime without plumbing.
 Scheduler* CurrentScheduler();
 
 /// Runs `fns` in parallel on `sched` and returns their statuses in order:

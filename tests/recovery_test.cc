@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/cluster.h"
@@ -638,6 +641,83 @@ TEST(RecoveryStreamTest, ChunkedCatchUpBoundsReplySizes) {
       << "one reply carried most of the transfer; chunking is not bounding "
          "peak reply size";
   observer.Uninstall();
+}
+
+// A trickle-loaded delta gives every row its own commit timestamp. The
+// buddy must still fill each chunk instead of shipping one row per round
+// trip, or a recovering site falls behind writers that commit quickly.
+TEST(RecoveryStreamTest, TrickleDeltaShipsFullChunks) {
+  obs::Observer observer;
+  observer.Install();
+  auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+  ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
+  Coordinator* coord = cluster->coordinator();
+  ASSERT_OK(coord->InsertTxn(table, SmallRow(0, 0, "base")));
+  cluster->AdvanceEpoch();
+  ASSERT_OK(cluster->CheckpointAll());
+  for (int i = 1; i <= 160; ++i) {
+    ASSERT_OK(coord->InsertTxn(table, SmallRow(i, i, "delta")));
+    cluster->AdvanceEpoch();
+  }
+
+  cluster->CrashWorker(1);
+  RecoveryOptions opt;
+  opt.stream_chunk_tuples = 16;
+  ASSERT_OK_AND_ASSIGN(RecoveryStats stats, cluster->RecoverWorker(1, opt));
+  EXPECT_EQ(stats.objects[0].phase2_tuples_copied +
+                stats.objects[0].phase3_tuples_copied,
+            160u);
+  cluster->AdvanceEpoch();
+  ExpectReplicasEqual(cluster.get(), cluster->authority()->StableTime());
+  // ceil(160/16) insert chunks plus a few for the deletion pass and the
+  // stream tails; one row per chunk would be ~160.
+  EXPECT_LE(observer.MetricsFor(Cluster::WorkerSite(1))
+                .counter(obs::CounterId::kRecoveryChunks)
+                .value(),
+            20);
+  observer.Uninstall();
+}
+
+// StreamScan's request for chunk N+1 must reach the buddy before chunk N's
+// apply returns: the double-buffered pipeline hides the transfer behind the
+// apply, which is why CallAsync never runs its handler on the caller. Chunk
+// 1's apply waits for the buddy to see the chunk 2 request; a serial fetch
+// would time that wait out instead of hanging the test.
+TEST(RecoveryStreamTest, NextChunkIsRequestedBeforeApplyReturns) {
+  Network net(SimConfig::Zero());
+  std::mutex mu;
+  std::condition_variable cv;
+  int requests = 0;
+  ASSERT_OK(net.RegisterSite(2, [&](SiteId, const Message&) {
+    ScanReplyMsg reply;
+    reply.minimal = true;
+    std::lock_guard<std::mutex> lock(mu);
+    ++requests;
+    reply.id_deletions.push_back(IdDeletion{static_cast<TupleId>(requests),
+                                            /*deletion_ts=*/5,
+                                            /*insertion_ts=*/1});
+    reply.truncated = requests == 1;
+    reply.last_insertion_ts = 1;
+    reply.last_tuple_id = static_cast<TupleId>(requests);
+    cv.notify_all();
+    return Result<Message>(reply.Encode());
+  }, 1));
+  ScanMsg scan;
+  scan.minimal_projection = true;
+  int applied = 0;
+  bool prefetched = false;
+  ASSERT_OK(StreamScan(&net, /*self=*/1, /*buddy=*/2, scan,
+                       /*chunk_tuples=*/1, [&](ScanReplyMsg&) {
+    if (applied++ == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      prefetched = cv.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return requests >= 2; });
+    }
+    return Status::OK();
+  }));
+  EXPECT_TRUE(prefetched) << "chunk 2 was requested only after chunk 1 applied";
+  EXPECT_EQ(applied, 2);
+  EXPECT_EQ(requests, 2);
 }
 
 TEST(RecoveryStreamTest, MonolithicPathStillSupported) {

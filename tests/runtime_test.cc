@@ -295,6 +295,50 @@ TEST(SchedulerTest, CurrentSchedulerVisibleInsideTasksOnly) {
   EXPECT_EQ(seen, &sched);
 }
 
+// A claim runs the caller as a task of the strand: it fails while every
+// slot is taken, a post made while it is held queues behind it, and ending
+// it lets that post run. Inline runs are not counted as tasks.
+TEST(SchedulerTest, StrandClaimKeepsWidthAndFifo) {
+  Scheduler sched(Scheduler::Options{.workers = 2});
+  const StrandId strand = sched.CreateStrand(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool ran = false;
+  {
+    StrandClaim claim(&sched, strand);
+    ASSERT_TRUE(static_cast<bool>(claim));
+    EXPECT_EQ(CurrentScheduler(), &sched);
+    EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
+    ASSERT_TRUE(sched.Post(strand, [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ran = true;
+      cv.notify_all();
+    }));
+    std::this_thread::sleep_for(20ms);
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(ran) << "a post overtook the claim holding the only slot";
+  }
+  EXPECT_EQ(CurrentScheduler(), nullptr);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return ran; }));
+  }
+  // A running task holds the slot: claims fail until it finishes.
+  std::atomic<bool> release{false};
+  std::atomic<bool> started{false};
+  ASSERT_TRUE(sched.Post(strand, [&] {
+    started = true;
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+  }));
+  while (!started.load()) std::this_thread::sleep_for(1ms);
+  EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
+  release = true;
+  sched.ReleaseStrand(strand);
+  EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
+  sched.Shutdown();
+  EXPECT_EQ(sched.tasks_run(), 2);
+}
+
 TEST(SchedulerTest, RunParallelReturnsStatusesInOrder) {
   Scheduler sched;
   std::vector<std::function<Status()>> fns;
