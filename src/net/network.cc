@@ -1,7 +1,7 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -23,7 +23,7 @@ Network::Network(const SimConfig& config, runtime::Scheduler* scheduler)
 Network::~Network() {
   std::vector<SiteId> sites;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::shared_mutex> lock(mu_);
     for (auto& [site, ep] : endpoints_) sites.push_back(site);
     crash_subscribers_.clear();  // no callbacks during teardown
   }
@@ -33,7 +33,7 @@ Network::~Network() {
 }
 
 std::shared_ptr<Network::Endpoint> Network::Find(SiteId site) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = endpoints_.find(site);
   return it == endpoints_.end() ? nullptr : it->second;
 }
@@ -43,7 +43,7 @@ Status Network::RegisterSite(SiteId site, Handler handler, int num_threads) {
   ep->handler = std::move(handler);
   ep->alive = true;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::shared_mutex> lock(mu_);
     auto it = endpoints_.find(site);
     if (it != endpoints_.end() && it->second->alive) {
       return Status::AlreadyExists("site " + std::to_string(site) +
@@ -58,7 +58,8 @@ Status Network::RegisterSite(SiteId site, Handler handler, int num_threads) {
     return Status::Unavailable("site " + std::to_string(site) +
                                " crashed during registration");
   }
-  ep->strand = sched_->CreateStrand(num_threads);
+  ep->width = std::max(1, num_threads);
+  ep->strand = sched_->CreateStrand(ep->width);
   if (ep->strand == 0) {
     ep->alive = false;
     return Status::Unavailable("runtime is shut down");
@@ -71,6 +72,11 @@ void Network::DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep) {
   {
     std::lock_guard<std::mutex> lock(ep->mu);
     if (ep->stopping || ep->inbox.empty()) return;
+    if (ep->in_flight >= ep->width) {
+      // Inline handlers hold every slot: the first to finish re-posts.
+      ep->parked++;
+      return;
+    }
     call = std::move(ep->inbox.front());
     ep->inbox.pop_front();
     ep->in_flight++;
@@ -79,18 +85,30 @@ void Network::DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep) {
     runtime::ScopedBlocking block;
     std::this_thread::sleep_for(std::chrono::milliseconds(call.delay_ms));
   }
-  // Request delivery cost (sender = caller) is paid on the serving task so
-  // a posting caller is not blocked by it.
-  sim_.ChargeMessage(call.from, call.request.WireBytes());
-  Result<Message> reply = ep->handler(call.from, call.request);
+  Serve(site, ep, call.from, call.request, call.replies.get(), call.slot);
+}
+
+void Network::Serve(SiteId site, const std::shared_ptr<Endpoint>& ep,
+                    SiteId from, const Message& request, Replies* replies,
+                    size_t slot) {
+  // Request delivery cost (sender = caller) is paid by the serving thread,
+  // so a posting caller is not blocked by it.
+  sim_.ChargeMessage(from, request.WireBytes());
+  Result<Message> reply = ep->handler(from, request);
   // Reply flight back to the caller, charged against this site's NIC.
   if (reply.ok()) sim_.ChargeMessage(site, reply->WireBytes());
-  if (call.replies) call.replies->Fill(call.slot, std::move(reply));
+  if (replies != nullptr) replies->Fill(slot, std::move(reply));
+  bool drained;
   {
     std::lock_guard<std::mutex> lock(ep->mu);
     ep->in_flight--;
+    drained = ep->stopping && ep->in_flight == 0;
+    if (ep->parked > 0 && !ep->stopping) {
+      ep->parked--;
+      sched_->Post(ep->strand, [this, site, ep] { DispatchOne(site, ep); });
+    }
   }
-  ep->cv.notify_all();
+  if (drained) ep->cv.notify_all();
 }
 
 void Network::CrashSite(SiteId site) {
@@ -137,7 +155,7 @@ void Network::CrashSite(SiteId site) {
   // exactly once per crash, after the drain.
   std::vector<std::function<void(SiteId)>> subs;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::shared_mutex> lock(mu_);
     subs = crash_subscribers_;
   }
   for (const auto& cb : subs) cb(site);
@@ -165,7 +183,8 @@ std::shared_ptr<Network::Replies> Network::Send(
       link = fi->OnMessage(from, targets[i], request.type);
     }
     if (may_inline && !config_.enable_latency && ep != nullptr &&
-        !link.drop && !link.duplicate && link.delay_ms == 0) {
+        runtime::InlineTask::Allowed(sched_) && !link.drop &&
+        !link.duplicate && link.delay_ms == 0) {
       inline_later.emplace_back(i, std::move(ep));
     } else {
       Deliver(from, targets[i], ep, link, request, replies, i, false);
@@ -190,29 +209,31 @@ void Network::Deliver(SiteId from, SiteId to,
   // (under fail-stop RPC there are no silent losses — a broken connection is
   // the failure signal); a duplicate exercises handler idempotency.
   if (link.drop) return fail("fault-injected drop of message to site ", "");
-  std::optional<runtime::StrandClaim> claim;
   {
     std::lock_guard<std::mutex> lock(ep->mu);
     if (!ep->alive) return fail("site ", " is down (connection refused)");
-    // Only a strand with nothing queued is claimed, so the call it then
-    // dispatches here is this one and overtakes nothing.
-    if (try_inline && ep->inbox.empty() &&
-        !claim.emplace(sched_, ep->strand)) {
-      claim.reset();
-    }
-    auto dispatch = [this, to, ep] { DispatchOne(to, ep); };
-    if (link.duplicate) {
-      ep->inbox.push_back({from, request, nullptr, 0, link.delay_ms});
-      sched_->Post(ep->strand, dispatch);
-    }
-    ep->inbox.push_back({from, request, replies, slot, link.delay_ms});
-    if (!claim && !sched_->Post(ep->strand, dispatch)) {
-      // Runtime shut down under us: fail the call like a crashed site.
-      ep->inbox.pop_back();
-      return fail("site ", " is down (runtime shut down)");
+    // Only an endpoint with nothing queued and a free handler slot serves
+    // the call here, so it overtakes nothing and the width holds.
+    try_inline = try_inline && ep->inbox.empty() && ep->in_flight < ep->width;
+    if (try_inline) {
+      ep->in_flight++;
+    } else {
+      auto dispatch = [this, to, ep] { DispatchOne(to, ep); };
+      if (link.duplicate) {
+        ep->inbox.push_back({from, request, nullptr, 0, link.delay_ms});
+        sched_->Post(ep->strand, dispatch);
+      }
+      ep->inbox.push_back({from, request, replies, slot, link.delay_ms});
+      if (!sched_->Post(ep->strand, dispatch)) {
+        // Runtime shut down under us: fail the call like a crashed site.
+        ep->inbox.pop_back();
+        return fail("site ", " is down (runtime shut down)");
+      }
     }
   }
-  if (claim) DispatchOne(to, ep);  // the claimed run slot, on this thread
+  if (!try_inline) return;
+  runtime::InlineTask task(sched_);
+  Serve(to, ep, from, request, replies.get(), slot);
 }
 
 Result<Message> Network::Call(SiteId from, SiteId to, Message request) {
@@ -230,7 +251,7 @@ std::shared_ptr<Network::Replies> Network::CallAsync(SiteId from, SiteId to,
 }
 
 void Network::SubscribeCrash(std::function<void(SiteId)> callback) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   crash_subscribers_.push_back(std::move(callback));
 }
 

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -34,16 +35,19 @@ struct Message {
 /// \brief The in-process cluster transport: the simulated stand-in for the
 /// paper's TCP mesh (§6.1.6).
 ///
-/// Each registered site is a *strand* on the shared runtime scheduler: at
-/// most `num_threads` of its handlers run at once, started in FIFO order —
-/// the thesis's "each worker runs a multi-threaded server" without an OS
-/// thread per site. Call and CallAll run a handler on the calling thread
-/// when the link has no modeled cost, the fault injector neither delays nor
-/// duplicates the message, and a run slot of the target strand can be
-/// claimed (runtime::StrandClaim); otherwise, and always for CallAsync, the
-/// request is posted to the site's inbox. Either way the fault injector is
+/// Each registered site is an endpoint with a strand on the shared runtime
+/// scheduler: at most `num_threads` of its handlers run at once, started in
+/// FIFO order — the thesis's "each worker runs a multi-threaded server"
+/// without an OS thread per site. Call and CallAll run a handler on the
+/// calling thread (a runtime::InlineTask) when the link has no modeled cost,
+/// the fault injector neither delays nor duplicates the message, and the
+/// endpoint has nothing queued and a free handler slot; otherwise, and
+/// always for CallAsync, the request is queued in the site's inbox and a
+/// dispatch turn is posted to its strand. Either way the fault injector is
 /// asked once per message, the SimNetwork model charges the request and the
-/// reply, and the handler counts as in flight for CrashSite's drain.
+/// reply, and the handler counts against the endpoint's width and as in
+/// flight for CrashSite's drain. The inline path takes only the endpoint's
+/// own mutex, so concurrent callers meet on no scheduler-wide lock.
 ///
 /// Failure semantics follow the paper's fail-stop model: CrashSite
 /// atomically marks the endpoint dead, fails queued and future calls with
@@ -149,29 +153,37 @@ class Network {
     bool alive = false;
     bool stopping = false;
     bool drained = false;  // crash finished: inbox failed, handlers drained
-    int in_flight = 0;
+    int width = 1;         // handlers allowed to run at once
+    int in_flight = 0;     // handlers running, inline or posted
+    int parked = 0;        // dispatch turns that found every slot taken
   };
 
   /// Sends `request` to every target, running it inline where `may_inline`
   /// and the link allow; each reply lands in the returned slots.
   std::shared_ptr<Replies> Send(SiteId from, const std::vector<SiteId>& targets,
                                 const Message& request, bool may_inline);
-  /// Delivers one message: with `try_inline`, dispatches it on this thread
-  /// if a run slot of the target strand can be claimed; posts it otherwise.
+  /// Delivers one message: with `try_inline`, serves it on this thread if
+  /// the endpoint has nothing queued and a free handler slot; posts it
+  /// otherwise.
   void Deliver(SiteId from, SiteId to, const std::shared_ptr<Endpoint>& ep,
                const fault::LinkDecision& link, const Message& request,
                const std::shared_ptr<Replies>& replies, size_t slot,
                bool try_inline);
   /// One dispatch turn on the endpoint's strand: pops and serves at most
-  /// one inbox entry. No-op once the endpoint is stopping.
+  /// one inbox entry. No-op once the endpoint is stopping. A turn that finds
+  /// every handler slot held by inline calls parks, and Serve re-posts it.
   void DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep);
+  /// Runs the handler on one request, charging the request and the reply,
+  /// then frees the handler slot the call held (re-posting a parked turn).
+  void Serve(SiteId site, const std::shared_ptr<Endpoint>& ep, SiteId from,
+             const Message& request, Replies* replies, size_t slot);
   std::shared_ptr<Endpoint> Find(SiteId site);
 
   const SimConfig config_;
   SimNetwork sim_;
   std::unique_ptr<runtime::Scheduler> owned_sched_;
   runtime::Scheduler* sched_;
-  std::mutex mu_;
+  std::shared_mutex mu_;  // endpoints_ (shared for lookups), subscribers
   std::unordered_map<SiteId, std::shared_ptr<Endpoint>> endpoints_;
   std::vector<std::function<void(SiteId)>> crash_subscribers_;
 };

@@ -179,7 +179,17 @@ void Scheduler::WorkerLoop(bool spare, uint64_t spare_key) {
 
     lock.lock();
     tasks_run_++;
-    FinishRunLocked(sid);
+    running_total_--;
+    auto it2 = strands_.find(sid);
+    if (it2 != strands_.end()) {
+      it2->second.running--;
+      TicketLocked(sid, it2->second);
+      MaybeEraseStrandLocked(sid);
+    }
+    if (stopping_ && running_total_ == 0 && ready_.empty()) {
+      work_cv_.notify_all();
+      idle_cv_.notify_all();
+    }
   }
   threads_alive_--;
   if (spare) {
@@ -192,38 +202,6 @@ void Scheduler::WorkerLoop(bool spare, uint64_t spare_key) {
     idle_cv_.notify_all();
   }
   t_scheduler = nullptr;
-}
-
-void Scheduler::FinishRunLocked(StrandId sid) {
-  running_total_--;
-  auto it = strands_.find(sid);
-  if (it != strands_.end()) {
-    it->second.running--;
-    TicketLocked(sid, it->second);
-    MaybeEraseStrandLocked(sid);
-  }
-  if (stopping_ && running_total_ == 0 && ready_.empty()) {
-    work_cv_.notify_all();
-    idle_cv_.notify_all();
-  }
-}
-
-bool Scheduler::TryClaim(StrandId sid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) return false;
-  auto it = strands_.find(sid);
-  if (it == strands_.end()) return false;
-  Strand& s = it->second;
-  // An empty queue has no tickets out, so `running` alone bounds the width.
-  if (s.closed || !s.q.empty() || s.running >= s.width) return false;
-  s.running++;
-  running_total_++;
-  return true;
-}
-
-void Scheduler::EndClaim(StrandId sid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FinishRunLocked(sid);
 }
 
 // ------------------------------------------------------------------ timers
@@ -428,29 +406,25 @@ ScopedBlocking::~ScopedBlocking() {
 
 Scheduler* CurrentScheduler() { return t_scheduler; }
 
-// ------------------------------------------------------------ StrandClaim
+// ------------------------------------------------------------- InlineTask
 
-StrandClaim::StrandClaim(Scheduler* sched, StrandId strand) {
-  if (t_scheduler != nullptr && t_scheduler != sched) return;
-  if (!sched->TryClaim(strand)) return;
-  sched_ = sched;
-  strand_ = strand;
-  if (t_scheduler == nullptr) {
-    // A guest is no pool capacity: marking it as already blocking turns
-    // its ScopedBlocking sections into no-ops.
-    guest_ = true;
-    t_scheduler = sched;
-    t_blocking = true;
-  }
+bool InlineTask::Allowed(const Scheduler* sched) {
+  return t_scheduler == nullptr || t_scheduler == sched;
 }
 
-StrandClaim::~StrandClaim() {
-  if (sched_ == nullptr) return;
-  if (guest_) {
-    t_scheduler = nullptr;
-    t_blocking = false;
-  }
-  sched_->EndClaim(strand_);
+InlineTask::InlineTask(Scheduler* sched) {
+  if (t_scheduler != nullptr) return;  // already one of sched's workers
+  // A guest is no pool capacity: marking it as already blocking turns its
+  // ScopedBlocking sections into no-ops.
+  guest_ = true;
+  t_scheduler = sched;
+  t_blocking = true;
+}
+
+InlineTask::~InlineTask() {
+  if (!guest_) return;
+  t_scheduler = nullptr;
+  t_blocking = false;
 }
 
 // ------------------------------------------------------------- RunParallel

@@ -149,12 +149,6 @@ class Scheduler {
   void EnsureCapacityLocked();
   void SpawnSpareLocked();
   TimerId ArmTimerLocked(int64_t delay_ns, int64_t period_ns, Task task);
-  /// Claims / returns a run slot of `sid` for a StrandClaim.
-  bool TryClaim(StrandId sid);
-  void EndClaim(StrandId sid);
-  /// Bookkeeping after a task (or a claim) on `sid` finishes.
-  void FinishRunLocked(StrandId sid);
-  friend class StrandClaim;
 
   const int core_workers_;
   const int max_spares_;
@@ -210,40 +204,37 @@ class ScopedBlocking {
   Scheduler* entered_ = nullptr;
 };
 
-/// \brief Runs the calling thread as a task of `strand`, so a caller can do
-/// a strand's work itself instead of posting it and waiting for a worker.
+/// \brief Runs the rest of a scope as a task of `sched` on the calling
+/// thread, so a caller can do work itself instead of posting it and waiting
+/// for a worker. It touches no scheduler state: the code that runs inline
+/// keeps its own width and order (Network's endpoints do). While it lives,
+/// CurrentScheduler() is `sched`. A thread that is not one of `sched`'s
+/// workers runs as a guest: it is not pool capacity, so its blocking
+/// sections are no-ops. A worker of a different scheduler must not run
+/// `sched`'s work inline (Allowed() is false) and posts it instead. Inline
+/// runs do not count in tasks_run().
 ///
-/// The claim succeeds only when the strand is open, nothing is queued on it
-/// and a run slot is free (`running < width`). A claimed slot counts like a
-/// running task: later posts queue behind it, and releasing the claim
-/// tickets them, so strand FIFO pickup and the width hold exactly. While
-/// the claim is held, CurrentScheduler() is `sched`. A thread that is not
-/// one of `sched`'s workers runs as a guest: it is not pool capacity, so
-/// its blocking sections inside the claim are no-ops, and a worker of a
-/// different scheduler never claims. Inline runs do not count in
-/// tasks_run().
-///
-///   runtime::StrandClaim claim(sched, strand);
-///   if (claim) { RunTheTask(); } else { sched->Post(strand, ...); }
-class StrandClaim {
+///   if (InlineTask::Allowed(sched)) {
+///     InlineTask task(sched);
+///     RunTheWork();
+///   }
+class InlineTask {
  public:
-  StrandClaim(Scheduler* sched, StrandId strand);
-  ~StrandClaim();
-  StrandClaim(const StrandClaim&) = delete;
-  StrandClaim& operator=(const StrandClaim&) = delete;
+  static bool Allowed(const Scheduler* sched);
 
-  explicit operator bool() const { return sched_ != nullptr; }
+  explicit InlineTask(Scheduler* sched);
+  ~InlineTask();
+  InlineTask(const InlineTask&) = delete;
+  InlineTask& operator=(const InlineTask&) = delete;
 
  private:
-  Scheduler* sched_ = nullptr;
-  StrandId strand_ = 0;
   bool guest_ = false;
 };
 
-/// The scheduler whose pool is executing the current thread's task (or whose
-/// strand the thread has claimed), or null on non-pool threads. Lets deep
-/// callees (e.g. the fault injector firing an async crash) run follow-on work
-/// on the same runtime without plumbing.
+/// The scheduler whose pool (or InlineTask) is executing the current
+/// thread's task, or null on other threads. Lets deep callees (e.g. the
+/// fault injector firing an async crash) run follow-on work on the same
+/// runtime without plumbing.
 Scheduler* CurrentScheduler();
 
 /// Runs `fns` in parallel on `sched` and returns their statuses in order:

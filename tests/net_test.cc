@@ -335,7 +335,37 @@ TEST(NetworkTest, BusyStrandMakesCallPostBehindQueuedCalls) {
   EXPECT_NE(last_handler_thread, caller_thread);
 }
 
-// A Call made from a pool task claims the idle target strand and runs the
+// An inline handler holds a slot of the endpoint's width: a call posted
+// while it runs on a width-1 site waits for it, then runs on the pool.
+TEST(NetworkTest, InlineHandlerHoldsASlotOfTheWidth) {
+  Network net(SimConfig::Zero());
+  Latch started, release;
+  std::mutex mu;
+  std::vector<uint8_t> order;
+  ASSERT_OK(net.RegisterSite(1, [&](SiteId, const Message& m) {
+    if (m.payload[0] == 1) {
+      started.Open();
+      EXPECT_TRUE(release.Wait());
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(m.payload[0]);
+    return Result<Message>(m);
+  }, 1));
+  std::thread caller([&] { EXPECT_OK(net.Call(0, 1, Ping(1, 1)).status()); });
+  ASSERT_TRUE(started.Wait());
+  auto posted = net.CallAsync(0, 1, Ping(1, 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(order.empty()) << "a posted call ran beside the inline one";
+  }
+  release.Open();
+  caller.join();
+  EXPECT_OK(posted->get().status());
+  EXPECT_EQ(order, (std::vector<uint8_t>{1, 2}));
+}
+
+// A Call made from a pool task finds the target endpoint idle and runs the
 // handler on the task's own thread: no second task, no spare worker.
 TEST(NetworkTest, CallFromPoolTaskRunsInlineWithoutSpare) {
   runtime::Scheduler sched(runtime::Scheduler::Options{.workers = 2});

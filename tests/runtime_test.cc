@@ -295,48 +295,36 @@ TEST(SchedulerTest, CurrentSchedulerVisibleInsideTasksOnly) {
   EXPECT_EQ(seen, &sched);
 }
 
-// A claim runs the caller as a task of the strand: it fails while every
-// slot is taken, a post made while it is held queues behind it, and ending
-// it lets that post run. Inline runs are not counted as tasks.
-TEST(SchedulerTest, StrandClaimKeepsWidthAndFifo) {
-  Scheduler sched(Scheduler::Options{.workers = 2});
-  const StrandId strand = sched.CreateStrand(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ran = false;
+// An inline task runs the caller as a task of the scheduler: a guest sees
+// CurrentScheduler() and its blocking sections spawn no spare; a worker of
+// another scheduler may not run inline. Inline runs are not counted as
+// tasks.
+TEST(SchedulerTest, InlineTaskRunsTheCallerAsATask) {
+  Scheduler sched(Scheduler::Options{.workers = 1});
+  EXPECT_TRUE(InlineTask::Allowed(&sched));
   {
-    StrandClaim claim(&sched, strand);
-    ASSERT_TRUE(static_cast<bool>(claim));
+    InlineTask task(&sched);
     EXPECT_EQ(CurrentScheduler(), &sched);
-    EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
-    ASSERT_TRUE(sched.Post(strand, [&] {
-      std::lock_guard<std::mutex> lock(mu);
-      ran = true;
-      cv.notify_all();
-    }));
-    std::this_thread::sleep_for(20ms);
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_FALSE(ran) << "a post overtook the claim holding the only slot";
+    ScopedBlocking block;
+    std::this_thread::sleep_for(5ms);
   }
   EXPECT_EQ(CurrentScheduler(), nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return ran; }));
-  }
-  // A running task holds the slot: claims fail until it finishes.
-  std::atomic<bool> release{false};
-  std::atomic<bool> started{false};
-  ASSERT_TRUE(sched.Post(strand, [&] {
-    started = true;
-    while (!release.load()) std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(sched.spares_spawned(), 0);
+
+  Scheduler other(Scheduler::Options{.workers = 1});
+  std::atomic<int> allowed_own{-1}, allowed_other{-1};
+  ASSERT_TRUE(sched.Post([&] {
+    allowed_own = InlineTask::Allowed(&sched);
+    allowed_other = InlineTask::Allowed(&other);
+    InlineTask task(&sched);  // already a worker: nothing changes
+    EXPECT_EQ(CurrentScheduler(), &sched);
   }));
-  while (!started.load()) std::this_thread::sleep_for(1ms);
-  EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
-  release = true;
-  sched.ReleaseStrand(strand);
-  EXPECT_FALSE(static_cast<bool>(StrandClaim(&sched, strand)));
   sched.Shutdown();
-  EXPECT_EQ(sched.tasks_run(), 2);
+  other.Shutdown();
+  EXPECT_EQ(allowed_own.load(), 1);
+  EXPECT_EQ(allowed_other.load(), 0);
+  EXPECT_EQ(CurrentScheduler(), nullptr);
+  EXPECT_EQ(sched.tasks_run(), 1);
 }
 
 TEST(SchedulerTest, RunParallelReturnsStatusesInOrder) {
