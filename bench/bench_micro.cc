@@ -16,7 +16,7 @@
 #include "core/recovery_manager.h"
 #include "exec/seq_scan.h"
 #include "lock/lock_manager.h"
-#include "obs/observer.h"
+#include "obs/metrics.h"
 #include "sim/sim_disk.h"
 #include "storage/heap_page.h"
 #include "storage/local_catalog.h"
@@ -32,6 +32,12 @@ std::string BenchDir(const std::string& hint) {
   char* dir = ::mkdtemp(tmpl.data());
   HARBOR_CHECK(dir != nullptr);
   return dir;
+}
+
+/// The registry the standalone components below (no cluster) count in.
+obs::Metrics& BenchMetrics() {
+  static auto* metrics = new obs::Metrics();
+  return *metrics;
 }
 
 Schema BenchSchema() {
@@ -77,7 +83,7 @@ void BM_BufferPoolHit(benchmark::State& state) {
   FileManager fm(BenchDir("pool"), nullptr);
   HARBOR_CHECK_OK(fm.OpenOrCreate(1));
   HARBOR_CHECK_OK(fm.AllocatePage(1).status());
-  BufferPool pool(&fm, 16);
+  BufferPool pool(&fm, 16, BenchMetrics());
   for (auto _ : state) {
     auto h = pool.GetPage(PageId{1, 0});
     benchmark::DoNotOptimize(h->data());
@@ -126,14 +132,16 @@ MtPoolEnv& MtEnv(const std::string& tag, size_t pool_pages, size_t file_pages,
       cfg.disk_bandwidth_bytes_per_sec = 1'000'000'000;
       cfg.disk_random_latency_ns = 15'000;
       cfg.disk_force_latency_ns = 15'000;
-      e->disk = std::make_unique<SimDisk>("bench-mt-" + tag, cfg);
+      e->disk = std::make_unique<SimDisk>("bench-mt-" + tag, cfg,
+                                          BenchMetrics());
     }
     e->fm = std::make_unique<FileManager>(dir, e->disk.get());
     HARBOR_CHECK_OK(e->fm->OpenOrCreate(1));
     BufferPool::Options po;
     po.eviction = eviction;
     if (const char* sh = ::getenv("BENCH_SHARDS")) po.shards = atoi(sh);
-    e->pool = std::make_unique<BufferPool>(e->fm.get(), pool_pages, po);
+    e->pool = std::make_unique<BufferPool>(e->fm.get(), pool_pages,
+                                           BenchMetrics(), po);
   }
   return *e;
 }
@@ -253,7 +261,7 @@ BENCHMARK(BM_BufferPoolMTUpdate)
     ->UseRealTime();
 
 void BM_LockAcquireRelease(benchmark::State& state) {
-  LockManager lm;
+  LockManager lm(BenchMetrics());
   LockOwnerId owner = 1;
   for (auto _ : state) {
     HARBOR_CHECK_OK(lm.AcquirePageLock(owner, PageId{1, 7},
@@ -265,7 +273,8 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_LockAcquireRelease);
 
 void BM_LogAppend(benchmark::State& state) {
-  auto log_r = LogManager::Open(BenchDir("wal"), nullptr, true);
+  auto log_r = LogManager::Open(BenchDir("wal"), nullptr, true,
+                                BenchMetrics());
   HARBOR_CHECK_OK(log_r.status());
   auto log = std::move(log_r).value();
   LogRecord rec;
@@ -280,7 +289,8 @@ void BM_LogAppend(benchmark::State& state) {
 BENCHMARK(BM_LogAppend);
 
 void BM_LogAppendAndForce(benchmark::State& state) {
-  auto log_r = LogManager::Open(BenchDir("walf"), nullptr, true);
+  auto log_r = LogManager::Open(BenchDir("walf"), nullptr, true,
+                                BenchMetrics());
   HARBOR_CHECK_OK(log_r.status());
   auto log = std::move(log_r).value();
   LogRecord rec;
@@ -299,8 +309,8 @@ class ScanFixture : public benchmark::Fixture {
     if (store_) return;
     fm_ = std::make_unique<FileManager>(BenchDir("scan"), nullptr);
     catalog_ = std::make_unique<LocalCatalog>(fm_.get());
-    pool_ = std::make_unique<BufferPool>(fm_.get(), 4096);
-    locks_ = std::make_unique<LockManager>();
+    pool_ = std::make_unique<BufferPool>(fm_.get(), 4096, BenchMetrics());
+    locks_ = std::make_unique<LockManager>(BenchMetrics());
     txns_ = std::make_unique<TxnTable>();
     store_ = std::make_unique<VersionStore>(catalog_.get(), pool_.get(),
                                             locks_.get(), nullptr,
@@ -402,8 +412,8 @@ ColScanEnv& ColEnv() {
     auto* e = new ColScanEnv();
     e->fm = std::make_unique<FileManager>(BenchDir("colscan"), nullptr);
     e->catalog = std::make_unique<LocalCatalog>(e->fm.get());
-    e->pool = std::make_unique<BufferPool>(e->fm.get(), 8192);
-    e->locks = std::make_unique<LockManager>();
+    e->pool = std::make_unique<BufferPool>(e->fm.get(), 8192, BenchMetrics());
+    e->locks = std::make_unique<LockManager>(BenchMetrics());
     e->txns = std::make_unique<TxnTable>();
     e->store = std::make_unique<VersionStore>(e->catalog.get(), e->pool.get(),
                                               e->locks.get(), nullptr,
@@ -519,8 +529,6 @@ void BM_RecoveryStreamTransfer(benchmark::State& state) {
     while (cluster->authority()->StableTime() <= max_ts) {
       cluster->AdvanceEpoch();
     }
-    obs::Observer observer;
-    observer.Install();
     RecoveryOptions ropt;
     ropt.stream_chunk_tuples = chunk;
     Stopwatch watch;
@@ -530,12 +538,11 @@ void BM_RecoveryStreamTransfer(benchmark::State& state) {
     HARBOR_CHECK((*stats).objects[0].phase2_tuples_copied +
                      (*stats).objects[0].phase3_tuples_copied ==
                  delta_rows);
-    const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(1));
+    const obs::Metrics& m = cluster->worker(1)->metrics();
     const obs::Histogram& bytes =
         m.histogram(obs::HistogramId::kRecoveryChunkBytes);
     if (bytes.count() > 0) peak_reply = std::max(peak_reply, bytes.max());
     chunks += m.counter(obs::CounterId::kRecoveryChunks).value();
-    observer.Uninstall();
   }
   state.counters["peak_reply_bytes"] = static_cast<double>(peak_reply);
   state.counters["chunks_per_recovery"] =
@@ -612,8 +619,6 @@ void BM_RecoveryParallelTransfer(benchmark::State& state) {
     while (cluster->authority()->StableTime() <= max_ts) {
       cluster->AdvanceEpoch();
     }
-    obs::Observer observer;
-    observer.Install();
     RecoveryOptions ropt;
     ropt.parallel = false;  // one object at a time: isolate stream scaling
     ropt.max_parallel_streams = streams;
@@ -632,9 +637,10 @@ void BM_RecoveryParallelTransfer(benchmark::State& state) {
     phase1 += (*stats).phase1_seconds;
     phase2 += (*stats).phase2_seconds;
     phase3 += (*stats).phase3_seconds;
-    const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(4));
-    failovers += m.counter(obs::CounterId::kRecoveryStreamFailovers).value();
-    observer.Uninstall();
+    failovers += cluster->worker(4)
+                     ->metrics()
+                     .counter(obs::CounterId::kRecoveryStreamFailovers)
+                     .value();
   }
   state.counters["offline_seconds"] =
       benchmark::Counter(offline, benchmark::Counter::kAvgIterations);

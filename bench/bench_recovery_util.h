@@ -2,6 +2,7 @@
 #define HARBOR_BENCH_BENCH_RECOVERY_UTIL_H_
 
 #include <functional>
+#include <string>
 
 #include "bench/bench_util.h"
 
@@ -31,6 +32,8 @@ inline std::vector<RecoveryScenario> PaperRecoveryScenarios() {
 struct RecoveryRunResult {
   double recovery_seconds = 0;
   RecoveryStats stats;
+  /// The recovering site's metrics snapshot (see obs::Metrics::ToJson).
+  std::string metrics_json;
 };
 
 /// Builds a fresh 3-worker cluster with `num_tables` preloaded tables of
@@ -71,6 +74,8 @@ inline RecoveryRunResult RunRecoveryExperiment(
   RecoveryRunResult result;
   result.recovery_seconds = watch.ElapsedSeconds();
   result.stats = std::move(stats).value();
+  result.metrics_json =
+      cluster->observer().MetricsJson(Cluster::WorkerSite(2));
   return result;
 }
 

@@ -1,6 +1,7 @@
 // Table 4.2: overhead of the four commit protocols, measured on a live
 // 1-coordinator / 2-worker cluster by counting actual protocol messages and
-// forced log writes for a single-insert transaction (§4.3.4).
+// forced log writes for a single-insert transaction (§4.3.4), read from the
+// cluster's metrics registry. Exits non-zero on any MISMATCH.
 //
 // Expected (per the paper):
 //   protocol          msgs/worker   coord forces   worker forces
@@ -17,14 +18,16 @@
 namespace harbor::bench {
 namespace {
 
-void Run() {
+int64_t Forces(Cluster* cluster, SiteId site) {
+  return cluster->observer()
+      .MetricsFor(site)
+      .counter(obs::CounterId::kWalForces)
+      .value();
+}
+
+bool Run() {
   Banner("Table 4.2 — messages and forced writes per commit protocol",
          "§4.3.4, Table 4.2");
-
-  // Per-site metrics for the whole run; the obs wal.forces counters must
-  // report the same forces the table rows are computed from.
-  obs::Observer observer;
-  observer.Install();
 
   struct Expected {
     CommitProtocol protocol;
@@ -42,11 +45,11 @@ void Run() {
 
   std::printf("%-18s %14s %14s %14s   (expected in parens)\n", "protocol",
               "msgs/worker", "coord forces", "worker forces");
+  constexpr int kWorkers = 2;
   bool all_match = true;
-  int64_t log_forces_total = 0;  // per LogManager counters, whole run
   for (const Expected& e : rows) {
     ClusterOptions opt;
-    opt.num_workers = 2;
+    opt.num_workers = kWorkers;
     opt.protocol = e.protocol;
     opt.sim = SimConfig::Zero();  // counting, not timing
     auto cluster_r = Cluster::Create(opt);
@@ -54,35 +57,32 @@ void Run() {
     auto cluster = std::move(cluster_r).value();
     TableId table = MakeEvalTable(cluster.get(), "t", 64);
     Coordinator* coord = cluster->coordinator();
+    obs::Observer& o = cluster->observer();
 
     auto txn = coord->Begin();
     HARBOR_CHECK_OK(txn.status());
     HARBOR_CHECK_OK(coord->Insert(*txn, table, EvalRow(1)));
 
-    // Snapshot counters after the update phase: Table 4.2 counts only the
-    // commit protocol itself.
-    const int64_t msgs0 = cluster->network()->num_messages();
-    int64_t coord_fw0 = coord->log() ? coord->log()->num_forces() : 0;
+    // Snapshot the cluster's counters after the update phase: Table 4.2
+    // counts only the commit protocol itself.
+    const int64_t msgs0 = o.Total(obs::CounterId::kNetMessagesSent);
+    const int64_t coord_fw0 = Forces(cluster.get(), coord->site_id());
     int64_t worker_fw0 = 0;
-    for (int w = 0; w < 2; ++w) {
-      if (cluster->worker(w)->log() != nullptr) {
-        worker_fw0 += cluster->worker(w)->log()->num_forces();
-      }
+    for (int w = 0; w < kWorkers; ++w) {
+      worker_fw0 += Forces(cluster.get(), Cluster::WorkerSite(w));
     }
 
     HARBOR_CHECK_OK(coord->Commit(*txn));
 
     const int64_t msgs =
-        (cluster->network()->num_messages() - msgs0) / 2;  // per worker
+        (o.Total(obs::CounterId::kNetMessagesSent) - msgs0) / kWorkers;
     const int64_t coord_fw =
-        (coord->log() ? coord->log()->num_forces() : 0) - coord_fw0;
-    int64_t worker_fw = 0;
-    for (int w = 0; w < 2; ++w) {
-      if (cluster->worker(w)->log() != nullptr) {
-        worker_fw += cluster->worker(w)->log()->num_forces();
-      }
+        Forces(cluster.get(), coord->site_id()) - coord_fw0;
+    int64_t worker_fw = -worker_fw0;
+    for (int w = 0; w < kWorkers; ++w) {
+      worker_fw += Forces(cluster.get(), Cluster::WorkerSite(w));
     }
-    worker_fw = (worker_fw - worker_fw0) / 2;  // per worker
+    worker_fw /= kWorkers;
 
     const bool match = msgs == e.msgs && coord_fw == e.coord_fw &&
                        worker_fw == e.worker_fw;
@@ -91,35 +91,14 @@ void Run() {
                 CommitProtocolToString(e.protocol), (long long)msgs, e.msgs,
                 (long long)coord_fw, e.coord_fw, (long long)worker_fw,
                 e.worker_fw, match ? "MATCH" : "MISMATCH");
-
-    if (coord->log() != nullptr) log_forces_total += coord->log()->num_forces();
-    for (int w = 0; w < 2; ++w) {
-      if (cluster->worker(w)->log() != nullptr) {
-        log_forces_total += cluster->worker(w)->log()->num_forces();
-      }
-    }
+    std::printf("  per-site metrics:\n%s", o.AllMetricsJson().c_str());
   }
   std::printf("\n%s\n", all_match ? "All rows match Table 4.2."
                                   : "Some rows deviate from Table 4.2!");
-
-  // The metrics layer and the logs' own counters are two independent views
-  // of the same events; they must agree exactly.
-  int64_t obs_forces_total = 0;
-  for (SiteId site : observer.Sites()) {
-    obs_forces_total +=
-        observer.MetricsFor(site).counter(obs::CounterId::kWalForces).value();
-  }
-  std::printf("\nwal.forces (obs) = %lld, LogManager num_forces = %lld  %s\n",
-              (long long)obs_forces_total, (long long)log_forces_total,
-              obs_forces_total == log_forces_total ? "MATCH" : "MISMATCH");
-
-  std::printf("\nPer-site metrics:\n%s\n", observer.AllMetricsJson().c_str());
+  return all_match;
 }
 
 }  // namespace
 }  // namespace harbor::bench
 
-int main() {
-  harbor::bench::Run();
-  return 0;
-}
+int main() { return harbor::bench::Run() ? 0 : 1; }

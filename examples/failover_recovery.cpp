@@ -46,7 +46,10 @@ int main() {
     }
   });
 
-  auto committed_now = [&] { return db->committed(); };
+  const obs::Counter& committed = cluster->observer()
+                                      .MetricsFor(db->site_id())
+                                      .counter(obs::CounterId::kTxnCommitted);
+  auto committed_now = [&] { return committed.value(); };
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   std::printf("steady state: %lld transactions committed on 2 replicas\n",

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/clock.h"
-#include "obs/observer.h"
 #include "storage/heap_page.h"
 
 namespace harbor {
@@ -53,8 +51,9 @@ void PageHandle::MarkDirty(Lsn lsn) {
 
 std::mutex& PageHandle::Latch() { return pool_->frames_[frame_]->latch; }
 
-BufferPool::BufferPool(FileManager* fm, size_t capacity_pages, Options options)
-    : fm_(fm), opts_(options) {
+BufferPool::BufferPool(FileManager* fm, size_t capacity_pages,
+                       obs::Metrics& metrics, Options options)
+    : fm_(fm), metrics_(metrics), opts_(options) {
   frames_.reserve(capacity_pages);
   free_.reserve(capacity_pages);
   for (size_t i = 0; i < capacity_pages; ++i) {
@@ -84,8 +83,10 @@ BufferPool::BufferPool(FileManager* fm, size_t capacity_pages, Options options)
 }
 
 BufferPool::BufferPool(FileManager* fm, size_t capacity_pages,
-                       EvictionPolicy eviction, StealPolicy steal)
-    : BufferPool(fm, capacity_pages, Options{.eviction = eviction, .steal = steal}) {}
+                       obs::Metrics& metrics, EvictionPolicy eviction,
+                       StealPolicy steal)
+    : BufferPool(fm, capacity_pages, metrics,
+                 Options{.eviction = eviction, .steal = steal}) {}
 
 BufferPool::~BufferPool() = default;
 
@@ -207,8 +208,7 @@ Result<size_t> BufferPool::TryEvictFrom(Shard& s) {
     lk.lock();
     f.io_busy.store(false, std::memory_order_release);
     if (!st.ok()) return st;
-    dirty_victim_flushes_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(opts_.site_id, obs::CounterId::kBufDirtyVictimFlushes);
+    metrics_.counter(obs::CounterId::kBufDirtyVictimFlushes).Add();
     if (f.pin_count.load(std::memory_order_acquire) != 0 ||
         f.dirty.load(std::memory_order_acquire)) {
       // Re-pinned or re-dirtied while we flushed: the eviction is off, but
@@ -218,8 +218,7 @@ Result<size_t> BufferPool::TryEvictFrom(Shard& s) {
   }
   s.table.erase(f.page);
   f.state.store(FrameState::kFree, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(opts_.site_id, obs::CounterId::kBufEvictions);
+  metrics_.counter(obs::CounterId::kBufEvictions).Add();
   return victim;
 }
 
@@ -267,15 +266,7 @@ Result<PageHandle> BufferPool::GetPage(PageId page, bool sequential) {
   const size_t home = std::hash<PageId>()(page) & shard_mask_;
   Shard& s = *shards_[home];
   for (;;) {
-    std::unique_lock<std::mutex> lk(s.mu, std::defer_lock);
-    if (obs::Enabled()) {
-      const int64_t t0 = NowNanos();
-      lk.lock();
-      obs::Observe(opts_.site_id, obs::HistogramId::kBufShardLockWaitNs,
-                   NowNanos() - t0);
-    } else {
-      lk.lock();
-    }
+    std::unique_lock<std::mutex> lk(s.mu);
     auto it = s.table.find(page);
     if (it != s.table.end()) {
       const size_t idx = it->second;
@@ -299,7 +290,6 @@ Result<PageHandle> BufferPool::GetPage(PageId page, bool sequential) {
       f.last_used.store(++s.tick, std::memory_order_relaxed);
       ++s.hits;
       lk.unlock();
-      obs::Count(opts_.site_id, obs::CounterId::kBufHits);
       return PageHandle(this, idx);
     }
     lk.unlock();
@@ -326,20 +316,11 @@ Result<PageHandle> BufferPool::GetPage(PageId page, bool sequential) {
     s.table[page] = idx;
     lk.unlock();
 
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(opts_.site_id, obs::CounterId::kBufMisses);
+    metrics_.counter(obs::CounterId::kBufMisses).Add();
 
     // The disk read happens in kLoading state with no lock held: concurrent
     // readers of this page wait on the shard cv, everyone else proceeds.
-    Status st;
-    if (obs::Enabled()) {
-      const int64_t t0 = NowNanos();
-      st = fm_->ReadPage(page, f.data.get(), sequential);
-      obs::Observe(opts_.site_id, obs::HistogramId::kBufMissReadNs,
-                   NowNanos() - t0);
-    } else {
-      st = fm_->ReadPage(page, f.data.get(), sequential);
-    }
+    Status st = fm_->ReadPage(page, f.data.get(), sequential);
 
     lk.lock();
     if (!st.ok()) {
@@ -380,7 +361,6 @@ Result<PageHandle> BufferPool::CreatePage(PageId page) {
       f.last_used.store(++s.tick, std::memory_order_relaxed);
       ++s.hits;
       lk.unlock();
-      obs::Count(opts_.site_id, obs::CounterId::kBufHits);
       return PageHandle(this, idx);
     }
     lk.unlock();

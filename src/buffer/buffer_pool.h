@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "lock/lock_manager.h"
+#include "obs/metrics.h"
 #include "storage/file_manager.h"
 
 namespace harbor {
@@ -102,13 +103,14 @@ class BufferPool {
     /// failed attempt waits up to `victim_wait` for some pin to drop.
     int victim_attempts = 3;
     std::chrono::milliseconds victim_wait{5000};
-    /// Site whose obs metric registry receives pool counters/histograms.
-    SiteId site_id = kInvalidSiteId;
   };
 
-  BufferPool(FileManager* fm, size_t capacity_pages, Options options);
+  /// Misses, evictions and dirty-victim flushes are counted in `metrics`,
+  /// the owning site's registry; hits stay in the shard-local counters.
+  BufferPool(FileManager* fm, size_t capacity_pages, obs::Metrics& metrics,
+             Options options);
   /// Convenience constructor used by tests/benches predating Options.
-  BufferPool(FileManager* fm, size_t capacity_pages,
+  BufferPool(FileManager* fm, size_t capacity_pages, obs::Metrics& metrics,
              EvictionPolicy eviction = EvictionPolicy::kRandom,
              StealPolicy steal = StealPolicy::kSteal);
   ~BufferPool();
@@ -155,10 +157,9 @@ class BufferPool {
 
   size_t capacity() const { return frames_.size(); }
   size_t shard_count() const { return shards_.size(); }
+  /// Page-table hits, summed over the shard-local counts (the only copy:
+  /// a registry count would cost an atomic on every hit).
   int64_t hits() const;
-  int64_t misses() const { return misses_.load(); }
-  int64_t evictions() const { return evictions_.load(); }
-  int64_t dirty_victim_flushes() const { return dirty_victim_flushes_.load(); }
 
  private:
   friend class PageHandle;
@@ -229,6 +230,7 @@ class BufferPool {
   void Unpin(size_t frame_idx);
 
   FileManager* const fm_;
+  obs::Metrics& metrics_;
   const Options opts_;
 
   std::vector<std::unique_ptr<Frame>> frames_;
@@ -247,10 +249,6 @@ class BufferPool {
 
   std::function<Status(Lsn)> wal_flush_hook_;
   std::function<Status(uint32_t)> header_sync_hook_;
-
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> dirty_victim_flushes_{0};
 };
 
 /// RAII guard for a page's frame latch.

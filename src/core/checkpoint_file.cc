@@ -12,10 +12,14 @@
 namespace harbor {
 
 namespace {
-constexpr uint32_t kMagicV1 = 0x48524b50;  // "HRKP": no resume section
-constexpr uint32_t kMagicV2 = 0x48524b32;  // "HRK2": + stream watermarks
-constexpr uint32_t kMagicV3 = 0x48524b33;  // "HRK3": multi-stream watermarks
-                                           // with per-stream windows
+/// "HRK3". Layout: magic, global time, the per-object times, then the
+/// stream watermarks (an object count that may be 0, each object's streams
+/// with their windows).
+constexpr uint32_t kMagic = 0x48524b33;
+
+Status Errno(const std::string& what) {
+  return Status::IoError(what + ": " + std::strerror(errno));
+}
 }  // namespace
 
 Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir) {
@@ -23,8 +27,7 @@ Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return CheckpointRecord{};  // blank slate
-    return Status::IoError("open checkpoint: " +
-                           std::string(std::strerror(errno)));
+    return Errno("open checkpoint");
   }
   std::vector<uint8_t> buf;
   uint8_t chunk[4096];
@@ -32,12 +35,15 @@ Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir) {
   while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
     buf.insert(buf.end(), chunk, chunk + n);
   }
+  const int read_errno = errno;
   ::close(fd);
+  if (n < 0) {
+    errno = read_errno;
+    return Errno("read checkpoint");
+  }
   ByteBufferReader in(buf);
   HARBOR_ASSIGN_OR_RETURN(uint32_t magic, in.ReadU32());
-  if (magic != kMagicV1 && magic != kMagicV2 && magic != kMagicV3) {
-    return Status::Corruption("bad checkpoint magic");
-  }
+  if (magic != kMagic) return Status::Corruption("bad checkpoint magic");
   CheckpointRecord rec;
   HARBOR_ASSIGN_OR_RETURN(rec.global_time, in.ReadU64());
   HARBOR_ASSIGN_OR_RETURN(uint32_t count, in.ReadU32());
@@ -46,34 +52,23 @@ Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir) {
     HARBOR_ASSIGN_OR_RETURN(Timestamp t, in.ReadU64());
     rec.per_object[obj] = t;
   }
-  if (magic == kMagicV2) {
-    // One single-stream watermark per object; upgrades to stream 0 over the
-    // whole round range (window bounds 0).
-    HARBOR_ASSIGN_OR_RETURN(uint32_t n, in.ReadU32());
-    for (uint32_t i = 0; i < n; ++i) {
-      HARBOR_ASSIGN_OR_RETURN(ObjectId obj, in.ReadU32());
+  HARBOR_ASSIGN_OR_RETURN(uint32_t objects, in.ReadU32());
+  for (uint32_t i = 0; i < objects; ++i) {
+    HARBOR_ASSIGN_OR_RETURN(ObjectId obj, in.ReadU32());
+    HARBOR_ASSIGN_OR_RETURN(uint32_t streams, in.ReadU32());
+    for (uint32_t s = 0; s < streams; ++s) {
       StreamResume r;
       HARBOR_ASSIGN_OR_RETURN(r.round_hwm, in.ReadU64());
       HARBOR_ASSIGN_OR_RETURN(r.insertion_ts, in.ReadU64());
       HARBOR_ASSIGN_OR_RETURN(r.tuple_id, in.ReadU64());
+      HARBOR_ASSIGN_OR_RETURN(r.stream_index, in.ReadU32());
+      HARBOR_ASSIGN_OR_RETURN(r.window_lo, in.ReadU64());
+      HARBOR_ASSIGN_OR_RETURN(r.window_hi, in.ReadU64());
       rec.resume[obj].push_back(r);
     }
-  } else if (magic == kMagicV3) {
-    HARBOR_ASSIGN_OR_RETURN(uint32_t n, in.ReadU32());
-    for (uint32_t i = 0; i < n; ++i) {
-      HARBOR_ASSIGN_OR_RETURN(ObjectId obj, in.ReadU32());
-      HARBOR_ASSIGN_OR_RETURN(uint32_t streams, in.ReadU32());
-      for (uint32_t s = 0; s < streams; ++s) {
-        StreamResume r;
-        HARBOR_ASSIGN_OR_RETURN(r.round_hwm, in.ReadU64());
-        HARBOR_ASSIGN_OR_RETURN(r.insertion_ts, in.ReadU64());
-        HARBOR_ASSIGN_OR_RETURN(r.tuple_id, in.ReadU64());
-        HARBOR_ASSIGN_OR_RETURN(r.stream_index, in.ReadU32());
-        HARBOR_ASSIGN_OR_RETURN(r.window_lo, in.ReadU64());
-        HARBOR_ASSIGN_OR_RETURN(r.window_hi, in.ReadU64());
-        rec.resume[obj].push_back(r);
-      }
-    }
+  }
+  if (in.remaining() != 0) {
+    return Status::Corruption("trailing bytes after checkpoint record");
   }
   return rec;
 }
@@ -81,59 +76,55 @@ Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir) {
 Status WriteCheckpointRecord(const std::string& dir,
                              const CheckpointRecord& record) {
   ByteBufferWriter out;
-  // Records without watermarks stay on the V1 format so checkpoint files
-  // written by a normally-running site remain readable by older builds.
-  // Records with watermarks are written as V3 (per-stream entries); V2
-  // files remain readable and upgrade on the next write.
-  bool any_resume = false;
-  for (const auto& [obj, streams] : record.resume) {
-    if (!streams.empty()) any_resume = true;
-  }
-  out.WriteU32(any_resume ? kMagicV3 : kMagicV1);
+  out.WriteU32(kMagic);
   out.WriteU64(record.global_time);
   out.WriteU32(static_cast<uint32_t>(record.per_object.size()));
   for (const auto& [obj, t] : record.per_object) {
     out.WriteU32(obj);
     out.WriteU64(t);
   }
-  if (any_resume) {
-    uint32_t objects = 0;
-    for (const auto& [obj, streams] : record.resume) {
-      if (!streams.empty()) ++objects;
-    }
-    out.WriteU32(objects);
-    for (const auto& [obj, streams] : record.resume) {
-      if (streams.empty()) continue;
-      out.WriteU32(obj);
-      out.WriteU32(static_cast<uint32_t>(streams.size()));
-      for (const StreamResume& r : streams) {
-        out.WriteU64(r.round_hwm);
-        out.WriteU64(r.insertion_ts);
-        out.WriteU64(r.tuple_id);
-        out.WriteU32(r.stream_index);
-        out.WriteU64(r.window_lo);
-        out.WriteU64(r.window_hi);
-      }
+  uint32_t objects = 0;
+  for (const auto& [obj, streams] : record.resume) {
+    if (!streams.empty()) ++objects;
+  }
+  out.WriteU32(objects);
+  for (const auto& [obj, streams] : record.resume) {
+    if (streams.empty()) continue;
+    out.WriteU32(obj);
+    out.WriteU32(static_cast<uint32_t>(streams.size()));
+    for (const StreamResume& r : streams) {
+      out.WriteU64(r.round_hwm);
+      out.WriteU64(r.insertion_ts);
+      out.WriteU64(r.tuple_id);
+      out.WriteU32(r.stream_index);
+      out.WriteU64(r.window_lo);
+      out.WriteU64(r.window_hi);
     }
   }
   const std::string path = dir + "/checkpoint.meta";
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("open checkpoint tmp: " +
-                           std::string(std::strerror(errno)));
+  if (fd < 0) return Errno("open checkpoint tmp");
+  const ssize_t n = ::write(fd, out.data().data(), out.size());
+  if (n < 0 || ::fsync(fd) != 0) {
+    const Status st = Errno(n < 0 ? "write checkpoint" : "fsync checkpoint");
+    ::close(fd);
+    return st;
   }
-  ssize_t n = ::write(fd, out.data().data(), out.size());
-  ::fsync(fd);
   ::close(fd);
   if (n != static_cast<ssize_t>(out.size())) {
     return Status::IoError("short checkpoint write");
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename checkpoint: " +
-                           std::string(std::strerror(errno)));
+    return Errno("rename checkpoint");
   }
-  return Status::OK();
+  // The rename is durable only once the directory entry is.
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return Errno("open checkpoint dir");
+  const int synced = ::fsync(dir_fd);
+  const Status st = synced == 0 ? Status::OK() : Errno("fsync checkpoint dir");
+  ::close(dir_fd);
+  return st;
 }
 
 }  // namespace harbor

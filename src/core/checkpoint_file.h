@@ -36,7 +36,7 @@ struct StreamResume {
   /// (checkpoint, round_hwm] range into such windows, one stream per buddy;
   /// a resumed round rebuilds the interrupted round's geometry from the
   /// stored windows. window_hi == 0 means "the whole round range" — the
-  /// single-stream form, and how legacy V2 records read back.
+  /// single-stream form.
   uint32_t stream_index = 0;
   Timestamp window_lo = 0;
   Timestamp window_hi = 0;
@@ -66,10 +66,12 @@ struct CheckpointRecord {
 };
 
 /// Reads the checkpoint record from `dir` (a missing file reads as time 0:
-/// recover from a blank slate, §5.3).
+/// recover from a blank slate, §5.3). A wrong magic, a short record or
+/// trailing bytes read as Corruption.
 Result<CheckpointRecord> ReadCheckpointRecord(const std::string& dir);
 
-/// Atomically (write + rename) persists the checkpoint record with an fsync.
+/// Atomically persists the checkpoint record: write and fsync a temporary
+/// file, rename it into place, then fsync the directory.
 Status WriteCheckpointRecord(const std::string& dir,
                              const CheckpointRecord& record);
 

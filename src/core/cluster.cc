@@ -42,8 +42,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
   }
 
   cluster->scheduler_ = std::make_unique<runtime::Scheduler>();
-  cluster->network_ =
-      std::make_unique<Network>(options.sim, cluster->scheduler_.get());
+  cluster->network_ = std::make_unique<Network>(
+      options.sim, cluster->scheduler_.get(), &cluster->observer_);
   // A site that dies between BeginCommit and EndCommit would pin
   // StableTime() forever; subscribed before any site so the epoch holds are
   // freed ahead of the workers' own crash handling (consensus, §4.3.3).
@@ -62,7 +62,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
   copt.snapshot_max_lag_epochs = options.snapshot_max_lag_epochs;
   cluster->coordinators_.push_back(std::make_unique<Coordinator>(
       cluster->network_.get(), &cluster->catalog_, &cluster->authority_,
-      &cluster->liveness_, copt));
+      &cluster->liveness_, cluster->observer_.MetricsFor(copt.site_id),
+      copt));
   HARBOR_RETURN_NOT_OK(cluster->coordinators_[0]->Start());
 
   for (int i = 0; i < options.num_workers; ++i) {
@@ -77,10 +78,10 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
     wopt.lock_timeout = options.lock_timeout;
     wopt.checkpoint_period_ms = options.checkpoint_period_ms;
     wopt.default_coordinator = 0;
-    auto worker = std::make_unique<Worker>(cluster->network_.get(),
-                                           &cluster->catalog_,
-                                           &cluster->authority_,
-                                           &cluster->liveness_, wopt);
+    auto worker = std::make_unique<Worker>(
+        cluster->network_.get(), &cluster->catalog_, &cluster->authority_,
+        &cluster->liveness_, cluster->observer_.MetricsFor(wopt.site_id),
+        wopt);
     HARBOR_RETURN_NOT_OK(worker->Start());
     cluster->workers_.push_back(std::move(worker));
   }
@@ -103,7 +104,8 @@ Result<Coordinator*> Cluster::AddCoordinator() {
   copt.continue_on_worker_failure = options_.continue_on_worker_failure;
   copt.snapshot_max_lag_epochs = options_.snapshot_max_lag_epochs;
   coordinators_.push_back(std::make_unique<Coordinator>(
-      network_.get(), &catalog_, &authority_, &liveness_, copt));
+      network_.get(), &catalog_, &authority_, &liveness_,
+      observer_.MetricsFor(copt.site_id), copt));
   HARBOR_RETURN_NOT_OK(coordinators_.back()->Start());
   return coordinators_.back().get();
 }

@@ -13,6 +13,7 @@
 #include "core/recovery_manager.h"
 #include "core/worker.h"
 #include "net/network.h"
+#include "obs/observer.h"
 #include "runtime/scheduler.h"
 #include "txn/timestamp_authority.h"
 
@@ -121,6 +122,9 @@ class Cluster {
   }
 
   Network* network() { return network_.get(); }
+  /// The cluster's metrics registry: one Metrics per site, always on, kept
+  /// across worker restarts. Tracing is off until observer().EnableTrace().
+  obs::Observer& observer() { return observer_; }
   /// The cluster-wide task scheduler every subsystem shares (RPC dispatch,
   /// checkpoint/epoch timers, consensus rounds, recovery fan-out).
   runtime::Scheduler* scheduler() { return scheduler_.get(); }
@@ -161,6 +165,9 @@ class Cluster {
   const ClusterOptions options_;
   std::string base_dir_;
   bool owns_base_dir_ = false;
+  /// Declared first (destroyed last): every site and the network record
+  /// into it until they are gone.
+  obs::Observer observer_;
   /// Declared before network_ (and so destroyed after it): the network's
   /// teardown still posts/drains dispatch tasks on this scheduler.
   std::unique_ptr<runtime::Scheduler> scheduler_;

@@ -4,18 +4,18 @@
 
 #include "common/clock.h"
 #include "fault/fault_injector.h"
-#include "obs/observer.h"
 
 namespace harbor {
 
 Coordinator::Coordinator(Network* network, GlobalCatalog* catalog,
                          TimestampAuthority* authority,
-                         LivenessDirectory* liveness,
+                         LivenessDirectory* liveness, obs::Metrics& metrics,
                          CoordinatorOptions options)
     : network_(network),
       catalog_(catalog),
       authority_(authority),
       liveness_(liveness),
+      metrics_(metrics),
       options_(std::move(options)) {}
 
 Coordinator::~Coordinator() { Crash(); }
@@ -26,10 +26,10 @@ Status Coordinator::Start() {
   if (CoordinatorLogs(options_.protocol)) {
     log_disk_ = std::make_unique<SimDisk>(
         "coord" + std::to_string(options_.site_id) + "-log", options_.sim,
-        options_.site_id);
+        metrics_);
     HARBOR_ASSIGN_OR_RETURN(
         log_, LogManager::Open(options_.dir, log_disk_.get(),
-                               options_.group_commit, options_.site_id));
+                               options_.group_commit, metrics_));
   }
   HARBOR_RETURN_NOT_OK(network_->RegisterSite(
       options_.site_id,
@@ -293,10 +293,9 @@ Status Coordinator::AbortWithWorkers(
     end.txn = ct->id;
     log_->Append(std::move(end));  // lazy write, not forced
   }
-  aborted_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(options_.site_id, obs::CounterId::kTxnAborted);
-  obs::Trace(options_.site_id, "coord.decision.abort", ct->id,
-             static_cast<int64_t>(prepared_sites.size()));
+  metrics_.counter(obs::CounterId::kTxnAborted).Add();
+  metrics_.Trace("coord.decision.abort", ct->id,
+                 static_cast<int64_t>(prepared_sites.size()));
   ct->finished = true;
   EraseTxn(ct->id);
   return Status::Aborted("transaction aborted by commit protocol");
@@ -304,9 +303,9 @@ Status Coordinator::AbortWithWorkers(
 
 Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
   const std::vector<SiteId>& participants = ct->workers;
-  obs::Trace(options_.site_id, "coord.commit.begin", ct->id,
-             static_cast<int64_t>(participants.size()),
-             static_cast<int64_t>(options_.protocol));
+  metrics_.Trace("coord.commit.begin", ct->id,
+                 static_cast<int64_t>(participants.size()),
+                 static_cast<int64_t>(options_.protocol));
   HARBOR_FAULT_POINT("coordinator.commit.begin", options_.site_id);
 
   if (options_.protocol == CommitProtocol::kOptimized1PC) {
@@ -319,13 +318,12 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     commit.txn = ct->id;
     commit.commit_ts = ts;
     commit.stable_ts = StampStableTime();
-    obs::Trace(options_.site_id, "coord.1pc.commit.send", ct->id,
-               static_cast<int64_t>(ts));
+    metrics_.Trace("coord.1pc.commit.send", ct->id,
+                   static_cast<int64_t>(ts));
     Broadcast(participants, commit.Encode());
     authority_->EndCommit(ts, options_.site_id);
     last_commit_.Learn(ts);
-    committed_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(options_.site_id, obs::CounterId::kTxnCommitted);
+    metrics_.counter(obs::CounterId::kTxnCommitted).Add();
     ct->finished = true;
     EraseTxn(ct->id);
     return Status::OK();
@@ -333,9 +331,9 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
 
   // ---- Phase 1: PREPARE / vote collection (all other protocols) ----
   HARBOR_FAULT_POINT("coordinator.before_prepare", options_.site_id);
-  obs::Trace(options_.site_id, "coord.prepare.send", ct->id,
-             static_cast<int64_t>(participants.size()));
-  const int64_t vote_start_ns = obs::Enabled() ? NowNanos() : 0;
+  metrics_.Trace("coord.prepare.send", ct->id,
+                 static_cast<int64_t>(participants.size()));
+  const int64_t vote_start_ns = NowNanos();
   PrepareMsg prepare;
   prepare.txn = ct->id;
   prepare.coordinator = options_.site_id;
@@ -362,12 +360,10 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
       all_yes = false;
     }
   }
-  if (obs::Enabled()) {
-    obs::Observe(options_.site_id, obs::HistogramId::kVoteRoundTripNs,
-                 NowNanos() - vote_start_ns);
-    obs::Trace(options_.site_id, "coord.votes.collected", ct->id,
-               static_cast<int64_t>(yes_sites.size()), all_yes ? 1 : 0);
-  }
+  metrics_.histogram(obs::HistogramId::kVoteRoundTripNs)
+      .Record(NowNanos() - vote_start_ns);
+  metrics_.Trace("coord.votes.collected", ct->id,
+                 static_cast<int64_t>(yes_sites.size()), all_yes ? 1 : 0);
   // Abort every participant, not just the YES voters: a site whose PREPARE
   // was lost in transit (or failed before the handler ran) never aborted
   // locally and still holds its execution-phase locks. kAbort is idempotent
@@ -401,16 +397,16 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
       std::lock_guard<std::mutex> lock(unresolved_mu_);
       unresolved_[ct->id] = {true, ts};
     }
-    obs::Trace(options_.site_id, "coord.2pc.decision_logged", ct->id,
-               static_cast<int64_t>(ts));
+    metrics_.Trace("coord.2pc.decision_logged", ct->id,
+                   static_cast<int64_t>(ts));
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.2pc.after_decision_logged"));
     CommitTsMsg commit;
     commit.txn = ct->id;
     commit.commit_ts = ts;
     commit.stable_ts = StampStableTime();
-    obs::Trace(options_.site_id, "coord.commit.send", ct->id,
-               static_cast<int64_t>(ts),
-               static_cast<int64_t>(yes_sites.size()));
+    metrics_.Trace("coord.commit.send", ct->id,
+                   static_cast<int64_t>(ts),
+                   static_cast<int64_t>(yes_sites.size()));
     const bool all_acked = Broadcast(yes_sites, commit.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.2pc.after_commit_send"));
     if (log_ != nullptr) {
@@ -430,9 +426,9 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     ptc.txn = ct->id;
     ptc.commit_ts = ts;
     ptc.stable_ts = StampStableTime();
-    obs::Trace(options_.site_id, "coord.3pc.ptc.send", ct->id,
-               static_cast<int64_t>(ts),
-               static_cast<int64_t>(yes_sites.size()));
+    metrics_.Trace("coord.3pc.ptc.send", ct->id,
+                   static_cast<int64_t>(ts),
+                   static_cast<int64_t>(yes_sites.size()));
     Broadcast(yes_sites, ptc.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.3pc.after_ptc"));
     // All ACKs received: the commit point, with no forced write anywhere.
@@ -440,19 +436,18 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     commit.txn = ct->id;
     commit.commit_ts = ts;
     commit.stable_ts = StampStableTime();
-    obs::Trace(options_.site_id, "coord.commit.send", ct->id,
-               static_cast<int64_t>(ts),
-               static_cast<int64_t>(yes_sites.size()));
+    metrics_.Trace("coord.commit.send", ct->id,
+                   static_cast<int64_t>(ts),
+                   static_cast<int64_t>(yes_sites.size()));
     Broadcast(yes_sites, commit.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.3pc.after_commit_send"));
   }
 
   authority_->EndCommit(ts, options_.site_id);
   last_commit_.Learn(ts);
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(options_.site_id, obs::CounterId::kTxnCommitted);
-  obs::Trace(options_.site_id, "coord.commit.done", ct->id,
-             static_cast<int64_t>(ts));
+  metrics_.counter(obs::CounterId::kTxnCommitted).Add();
+  metrics_.Trace("coord.commit.done", ct->id,
+                 static_cast<int64_t>(ts));
   ct->finished = true;
   EraseTxn(ct->id);
   return Status::OK();
@@ -465,16 +460,14 @@ Status Coordinator::Commit(TxnId txn) {
   if (ct->workers.empty()) {
     // Read-only / empty transaction: nothing to agree on.
     EraseTxn(txn);
-    committed_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(options_.site_id, obs::CounterId::kTxnCommitted);
+    metrics_.counter(obs::CounterId::kTxnCommitted).Add();
     return Status::OK();
   }
-  if (!obs::Enabled()) return RunCommitProtocol(ct);
   const int64_t start_ns = NowNanos();
   Status st = RunCommitProtocol(ct);
   if (st.ok()) {
-    obs::Observe(options_.site_id, obs::HistogramId::kCommitLatencyNs,
-                 NowNanos() - start_ns);
+    metrics_.histogram(obs::HistogramId::kCommitLatencyNs)
+        .Record(NowNanos() - start_ns);
   }
   return st;
 }
@@ -491,10 +484,9 @@ Status Coordinator::Abort(TxnId txn) {
     if (network_->IsAlive(s)) targets.push_back(s);
   }
   Broadcast(targets, abort.Encode());
-  aborted_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(options_.site_id, obs::CounterId::kTxnAborted);
-  obs::Trace(options_.site_id, "coord.abort", txn,
-             static_cast<int64_t>(targets.size()));
+  metrics_.counter(obs::CounterId::kTxnAborted).Add();
+  metrics_.Trace("coord.abort", txn,
+                 static_cast<int64_t>(targets.size()));
   ct->finished = true;
   EraseTxn(txn);
   return Status::OK();

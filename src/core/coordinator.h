@@ -56,9 +56,11 @@ enum class ReadMode : uint8_t {
 /// recovery-side services (coming-online, in-doubt resolution).
 class Coordinator {
  public:
+  /// Commit/abort decisions, commit latency and protocol trace events are
+  /// recorded in `metrics`, this site's registry in the cluster's observer.
   Coordinator(Network* network, GlobalCatalog* catalog,
               TimestampAuthority* authority, LivenessDirectory* liveness,
-              CoordinatorOptions options);
+              obs::Metrics& metrics, CoordinatorOptions options);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
@@ -117,8 +119,6 @@ class Coordinator {
   /// Fresh tuple id for an insert (shared by all replicas of the tuple).
   TupleId NextTupleId();
 
-  int64_t committed() const { return committed_.load(); }
-  int64_t aborted() const { return aborted_.load(); }
   LogManager* log() { return log_.get(); }
   SimDisk* log_disk() { return log_disk_.get(); }
   SiteId site_id() const { return options_.site_id; }
@@ -166,6 +166,7 @@ class Coordinator {
   GlobalCatalog* const catalog_;
   TimestampAuthority* const authority_;
   LivenessDirectory* const liveness_;
+  obs::Metrics& metrics_;
   const CoordinatorOptions options_;
 
   std::unique_ptr<SimDisk> log_disk_;
@@ -194,8 +195,6 @@ class Coordinator {
   std::atomic<uint64_t> txn_counter_{0};
   std::atomic<uint64_t> tuple_counter_{0};
   uint64_t restart_epoch_ = 0;
-  std::atomic<int64_t> committed_{0};
-  std::atomic<int64_t> aborted_{0};
 };
 
 }  // namespace harbor

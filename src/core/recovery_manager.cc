@@ -10,12 +10,13 @@
 #include "runtime/scheduler.h"
 #include "exec/seq_scan.h"
 #include "fault/fault_injector.h"
-#include "obs/observer.h"
 
 namespace harbor {
 
 RecoveryManager::RecoveryManager(Worker* worker, RecoveryOptions options)
-    : worker_(worker), options_(std::move(options)) {}
+    : worker_(worker),
+      metrics_(worker->metrics()),
+      options_(std::move(options)) {}
 
 bool RecoveryManager::BuddyUsable(SiteId site) const {
   // Only a fully online site may serve as a recovery buddy: a site that is
@@ -108,35 +109,30 @@ Status RecoveryManager::RunPhase1(ObjectPlan* plan) {
   }
 
   plan->stats.phase1_seconds = watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    const SiteId self = worker_->site_id();
-    obs::Observe(self, obs::HistogramId::kRecoveryPhase1Ns,
-                 watch.ElapsedNanos());
-    obs::Count(self, obs::CounterId::kRecoveryPhase1Removed,
-               static_cast<int64_t>(plan->stats.phase1_removed));
-    obs::Count(self, obs::CounterId::kRecoveryPhase1Undeleted,
-               static_cast<int64_t>(plan->stats.phase1_undeleted));
-    obs::Trace(self, "recovery.phase1.done", 0,
-               static_cast<int64_t>(obj->object_id),
-               static_cast<int64_t>(plan->stats.phase1_removed +
-                                    plan->stats.phase1_undeleted));
-  }
+  metrics_.histogram(obs::HistogramId::kRecoveryPhase1Ns)
+      .Record(watch.ElapsedNanos());
+  metrics_.counter(obs::CounterId::kRecoveryPhase1Removed)
+      .Add(static_cast<int64_t>(plan->stats.phase1_removed));
+  metrics_.counter(obs::CounterId::kRecoveryPhase1Undeleted)
+      .Add(static_cast<int64_t>(plan->stats.phase1_undeleted));
+  metrics_.Trace("recovery.phase1.done", 0,
+                 static_cast<int64_t>(obj->object_id),
+                 static_cast<int64_t>(plan->stats.phase1_removed +
+                 plan->stats.phase1_undeleted));
   return Status::OK();
 }
 
 // ------------------------------------------------------------- Phase 2
 
-Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
-                  size_t chunk_tuples,
+Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
+                  SiteId buddy, ScanMsg msg, size_t chunk_tuples,
                   const std::function<Status(ScanReplyMsg&)>& apply) {
   msg.max_tuples = static_cast<uint32_t>(chunk_tuples);
   if (msg.max_tuples == 0) {
     HARBOR_ASSIGN_OR_RETURN(Message reply,
                             net->Call(self, buddy, msg.Encode()));
-    if (obs::Enabled()) {
-      obs::Observe(self, obs::HistogramId::kRecoveryChunkBytes,
-                   reply.WireBytes());
-    }
+    metrics.histogram(obs::HistogramId::kRecoveryChunkBytes)
+        .Record(reply.WireBytes());
     HARBOR_ASSIGN_OR_RETURN(ScanReplyMsg decoded, ScanReplyMsg::Decode(reply));
     return apply(decoded);
   }
@@ -147,13 +143,13 @@ Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
       net->CallAsync(self, buddy, msg.Encode());
   bool first = true;
   while (true) {
-    const int64_t wait_start = obs::Enabled() ? NowNanos() : 0;
+    const int64_t wait_start = NowNanos();
     Result<Message> raw = inflight->get();
-    if (obs::Enabled() && !first) {
+    if (!first) {
       // Fetch wait not hidden behind the previous chunk's apply — 0 when
       // the pipeline fully overlaps transfer with apply.
-      obs::Observe(self, obs::HistogramId::kRecoveryChunkStallNs,
-                   NowNanos() - wait_start);
+      metrics.histogram(obs::HistogramId::kRecoveryChunkStallNs)
+          .Record(NowNanos() - wait_start);
     }
     first = false;
     HARBOR_RETURN_NOT_OK(raw.status());
@@ -170,16 +166,12 @@ Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
       }
       inflight = net->CallAsync(self, buddy, msg.Encode());
     }
-    if (obs::Enabled()) {
-      obs::Count(self, obs::CounterId::kRecoveryChunks);
-      obs::Observe(self, obs::HistogramId::kRecoveryChunkBytes, wire_bytes);
-      Stopwatch apply_watch;
-      HARBOR_RETURN_NOT_OK(apply(decoded));
-      obs::Observe(self, obs::HistogramId::kRecoveryChunkApplyNs,
-                   apply_watch.ElapsedNanos());
-    } else {
-      HARBOR_RETURN_NOT_OK(apply(decoded));
-    }
+    metrics.counter(obs::CounterId::kRecoveryChunks).Add();
+    metrics.histogram(obs::HistogramId::kRecoveryChunkBytes).Record(wire_bytes);
+    Stopwatch apply_watch;
+    HARBOR_RETURN_NOT_OK(apply(decoded));
+    metrics.histogram(obs::HistogramId::kRecoveryChunkApplyNs)
+        .Record(apply_watch.ElapsedNanos());
     if (!decoded.truncated) return Status::OK();
   }
 }
@@ -187,9 +179,9 @@ Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
 Status RecoveryManager::StreamScan(
     const RecoveryObject& piece, ScanMsg msg,
     const std::function<Status(ScanReplyMsg&)>& apply) {
-  return harbor::StreamScan(worker_->network(), worker_->site_id(), piece.site,
-                            std::move(msg), options_.stream_chunk_tuples,
-                            apply);
+  return harbor::StreamScan(worker_->network(), metrics_, worker_->site_id(),
+                            piece.site, std::move(msg),
+                            options_.stream_chunk_tuples, apply);
 }
 
 Status RecoveryManager::ApplyRemoteDeletions(
@@ -314,10 +306,10 @@ Status RecoveryManager::CopyRemoteInsertions(
     scan.has_cursor = true;
     scan.cursor_insertion_ts = (*cursor)->first;
     scan.cursor_tuple_id = (*cursor)->second;
-    obs::Count(self, obs::CounterId::kRecoveryStreamResumes);
-    obs::Trace(self, "recovery.stream.resume", 0,
-               static_cast<int64_t>(plan->obj->object_id),
-               static_cast<int64_t>((*cursor)->first));
+    metrics_.counter(obs::CounterId::kRecoveryStreamResumes).Add();
+    metrics_.Trace("recovery.stream.resume", 0,
+                   static_cast<int64_t>(plan->obj->object_id),
+                   static_cast<int64_t>((*cursor)->first));
   }
   if (cap != nullptr && *cap > 0) {
     // Carry the original buddy's pinned insertion cap across failover so
@@ -479,8 +471,7 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
                                   const std::vector<RecoveryObject>& pool,
                                   const StreamWindow& window, Timestamp hwm,
                                   std::mutex* stats_mu) {
-  const SiteId self = worker_->site_id();
-  obs::Count(self, obs::CounterId::kRecoveryStreamsStarted);
+  metrics_.counter(obs::CounterId::kRecoveryStreamsStarted).Add();
   Stopwatch stream_watch;
   StreamCursor cursor;
   if (window.resume.has_value()) {
@@ -506,10 +497,10 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
     // itself — after the pool was computed must not serve (§5.5.2).
     if (!BuddyUsable(piece.site)) continue;
     if (attempted) {
-      obs::Count(self, obs::CounterId::kRecoveryStreamFailovers);
-      obs::Trace(self, "recovery.stream.failover", 0,
-                 static_cast<int64_t>(plan->obj->object_id),
-                 static_cast<int64_t>(piece.site));
+      metrics_.counter(obs::CounterId::kRecoveryStreamFailovers).Add();
+      metrics_.Trace("recovery.stream.failover", 0,
+                     static_cast<int64_t>(plan->obj->object_id),
+                     static_cast<int64_t>(piece.site));
     }
     attempted = true;
     Status st;
@@ -545,9 +536,9 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
     plan->stats.phase2_delete_seconds += del_seconds;
     plan->stats.phase2_insert_seconds += ins_seconds;
   }
-  if (last.ok() && obs::Enabled()) {
-    obs::Observe(self, obs::HistogramId::kRecoveryStreamNs,
-                 stream_watch.ElapsedNanos());
+  if (last.ok()) {
+    metrics_.histogram(obs::HistogramId::kRecoveryStreamNs)
+        .Record(stream_watch.ElapsedNanos());
   }
   return last;
 }
@@ -623,8 +614,8 @@ Status RecoveryManager::RunPhase2(ObjectPlan* plan) {
     const bool resuming = !plan->resume.empty();
     const Timestamp hwm =
         resuming ? plan->resume.front().round_hwm : authority->StableTime();
-    obs::Trace(worker_->site_id(), "recovery.phase2.round", 0, round + 1,
-               static_cast<int64_t>(hwm));
+    metrics_.Trace("recovery.phase2.round", 0, round + 1,
+                   static_cast<int64_t>(hwm));
     if (hwm <= plan->checkpoint && !resuming) {
       // Nothing committed past the object checkpoint: no work to copy and
       // nothing new to make durable, so skip the FlushAll + forced
@@ -658,20 +649,17 @@ Status RecoveryManager::RunPhase2(ObjectPlan* plan) {
   }
   plan->stats.phase2_seconds = watch.ElapsedSeconds();
   plan->stats.hwm = plan->hwm;
-  if (obs::Enabled()) {
-    const SiteId self = worker_->site_id();
-    obs::Observe(self, obs::HistogramId::kRecoveryPhase2Ns,
-                 watch.ElapsedNanos());
-    obs::Count(self, obs::CounterId::kRecoveryPhase2Tuples,
-               static_cast<int64_t>(plan->stats.phase2_tuples_copied));
-    obs::Count(self, obs::CounterId::kRecoveryPhase2Deletions,
-               static_cast<int64_t>(plan->stats.phase2_deletions_copied));
-    obs::SetGauge(self, obs::GaugeId::kRecoveryPhase2Rounds,
-                  plan->stats.phase2_rounds);
-    obs::Trace(self, "recovery.phase2.done", 0,
-               static_cast<int64_t>(plan->obj->object_id),
-               static_cast<int64_t>(plan->hwm));
-  }
+  metrics_.histogram(obs::HistogramId::kRecoveryPhase2Ns)
+      .Record(watch.ElapsedNanos());
+  metrics_.counter(obs::CounterId::kRecoveryPhase2Tuples)
+      .Add(static_cast<int64_t>(plan->stats.phase2_tuples_copied));
+  metrics_.counter(obs::CounterId::kRecoveryPhase2Deletions)
+      .Add(static_cast<int64_t>(plan->stats.phase2_deletions_copied));
+  metrics_.gauge(obs::GaugeId::kRecoveryPhase2Rounds)
+      .Set(plan->stats.phase2_rounds);
+  metrics_.Trace("recovery.phase2.done", 0,
+                 static_cast<int64_t>(plan->obj->object_id),
+                 static_cast<int64_t>(plan->hwm));
   return Status::OK();
 }
 
@@ -682,8 +670,8 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
   Stopwatch watch;
   Network* net = worker_->network();
   const SiteId self = worker_->site_id();
-  obs::Trace(self, "recovery.phase3.begin", 0,
-             static_cast<int64_t>(plans->size()));
+  metrics_.Trace("recovery.phase3.begin", 0,
+                 static_cast<int64_t>(plans->size()));
 
   // Fresh covers (liveness may have changed since Phase 2).
   for (ObjectPlan& plan : *plans) {
@@ -861,19 +849,17 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
   HARBOR_RETURN_NOT_OK(worker_->PromoteGlobalCheckpoint(checkpoint_time));
   worker_->liveness()->Set(self, SiteState::kOnline);
   *out_seconds = watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    obs::Observe(self, obs::HistogramId::kRecoveryPhase3Ns,
-                 watch.ElapsedNanos());
-    int64_t tuples = 0;
-    int64_t deletions = 0;
-    for (const ObjectPlan& plan : *plans) {
-      tuples += static_cast<int64_t>(plan.stats.phase3_tuples_copied);
-      deletions += static_cast<int64_t>(plan.stats.phase3_deletions_copied);
-    }
-    obs::Count(self, obs::CounterId::kRecoveryPhase3Tuples, tuples);
-    obs::Count(self, obs::CounterId::kRecoveryPhase3Deletions, deletions);
-    obs::Trace(self, "recovery.phase3.done", 0, tuples, deletions);
+  metrics_.histogram(obs::HistogramId::kRecoveryPhase3Ns)
+      .Record(watch.ElapsedNanos());
+  int64_t tuples = 0;
+  int64_t deletions = 0;
+  for (const ObjectPlan& plan : *plans) {
+    tuples += static_cast<int64_t>(plan.stats.phase3_tuples_copied);
+    deletions += static_cast<int64_t>(plan.stats.phase3_deletions_copied);
   }
+  metrics_.counter(obs::CounterId::kRecoveryPhase3Tuples).Add(tuples);
+  metrics_.counter(obs::CounterId::kRecoveryPhase3Deletions).Add(deletions);
+  metrics_.Trace("recovery.phase3.done", 0, tuples, deletions);
   return Status::OK();
 }
 
@@ -890,7 +876,7 @@ Result<RecoveryStats> RecoveryManager::Recover() {
       break;
     }
     worker_->PauseCheckpoints(true);
-    obs::Trace(worker_->site_id(), "recovery.begin", 0, attempt + 1);
+    metrics_.Trace("recovery.begin", 0, attempt + 1);
     RecoveryStats stats;
     Stopwatch total;
 
@@ -963,8 +949,8 @@ Result<RecoveryStats> RecoveryManager::Recover() {
     stats.phase3_seconds = phase3_seconds;
     stats.total_seconds = total.ElapsedSeconds();
     worker_->PauseCheckpoints(false);
-    obs::Trace(worker_->site_id(), "recovery.done", 0,
-               static_cast<int64_t>(stats.total_seconds * 1e9));
+    metrics_.Trace("recovery.done", 0,
+                   static_cast<int64_t>(stats.total_seconds * 1e9));
     return stats;
   }
   worker_->PauseCheckpoints(false);

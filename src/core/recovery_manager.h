@@ -79,8 +79,9 @@ struct RecoveryStats {
 /// `chunk_tuples` tuples per reply: chunk N+1 is fetched with CallAsync —
 /// which never runs on the caller — while `apply` consumes chunk N. With
 /// chunk_tuples == 0 this degenerates to one blocking Call.
-Status StreamScan(Network* net, SiteId self, SiteId buddy, ScanMsg msg,
-                  size_t chunk_tuples,
+/// Chunk counts, sizes and apply/stall times are recorded in `metrics`.
+Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
+                  SiteId buddy, ScanMsg msg, size_t chunk_tuples,
                   const std::function<Status(ScanReplyMsg&)>& apply);
 
 /// \brief HARBOR's three-phase replica-query recovery (Chapter 5).
@@ -196,6 +197,7 @@ class RecoveryManager {
   Status AnnotateUnavailable(const ObjectPlan& plan, Status st) const;
 
   Worker* const worker_;
+  obs::Metrics& metrics_;  // the worker's site registry
   const RecoveryOptions options_;
 };
 

@@ -5,7 +5,6 @@
 #include "exec/dml.h"
 #include "exec/seq_scan.h"
 #include "fault/fault_injector.h"
-#include "obs/observer.h"
 
 namespace harbor {
 
@@ -21,26 +20,26 @@ int64_t IntOf(const Value& v) {
 
 }  // namespace
 
-Worker::Runtime::Runtime(const WorkerOptions& options)
+Worker::Runtime::Runtime(const WorkerOptions& options, obs::Metrics& metrics)
     : data_disk("site" + std::to_string(options.site_id) + "-data",
-                options.sim, options.site_id),
+                options.sim, metrics),
       log_disk("site" + std::to_string(options.site_id) + "-log", options.sim,
-               options.site_id),
+               metrics),
       cpu(options.sim),
       fm(options.dir, &data_disk),
       catalog(&fm),
-      pool(&fm, options.buffer_pages,
-           BufferPool::Options{.shards = options.buffer_shards,
-                               .site_id = options.site_id}),
-      locks(options.lock_timeout, options.site_id) {}
+      pool(&fm, options.buffer_pages, metrics,
+           BufferPool::Options{.shards = options.buffer_shards}),
+      locks(metrics, options.lock_timeout) {}
 
 Worker::Worker(Network* network, GlobalCatalog* catalog,
                TimestampAuthority* authority, LivenessDirectory* liveness,
-               WorkerOptions options)
+               obs::Metrics& metrics, WorkerOptions options)
     : network_(network),
       catalog_(catalog),
       authority_(authority),
       liveness_(liveness),
+      metrics_(metrics),
       options_(std::move(options)) {
   network_->SubscribeCrash([this](SiteId crashed) { OnSiteCrash(crashed); });
 }
@@ -51,14 +50,14 @@ Status Worker::Start(SiteState target_state) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (running_.load()) return Status::AlreadyExists("worker already running");
 
-  rt_ = std::make_unique<Runtime>(options_);
+  rt_ = std::make_unique<Runtime>(options_, metrics_);
   Runtime* rt = rt_.get();
   HARBOR_RETURN_NOT_OK(rt->catalog.OpenAll());
   if (WorkerLogs(options_.protocol)) {
     HARBOR_ASSIGN_OR_RETURN(
         rt->log,
         LogManager::Open(options_.dir, &rt->log_disk, options_.group_commit,
-                         options_.site_id));
+                         metrics_));
   }
   rt->store = std::make_unique<VersionStore>(&rt->catalog, &rt->pool,
                                              &rt->locks, rt->log.get(),
@@ -393,12 +392,12 @@ Result<Message> Worker::HandlePrepare(const PrepareMsg& m) {
     HARBOR_RETURN_NOT_OK(rt->store->RollbackTransaction(txn.get()));
     rt->locks.ReleaseAll(txn->id);
     rt->txns.Erase(txn->id);
-    obs::Trace(options_.site_id, "worker.vote.no", m.txn);
+    metrics_.Trace("worker.vote.no", m.txn);
     return VoteReply{false}.Encode();
   }
   txn->phase = TxnPhase::kPrepared;
   txn->voted_yes = true;
-  obs::Trace(options_.site_id, "worker.vote.yes", txn->id);
+  metrics_.Trace("worker.vote.yes", txn->id);
   if (rt->log != nullptr) {
     // Traditional 2PC / canonical 3PC: the PREPARE record is force-written
     // before the YES vote leaves the site (§4.3.1).
@@ -423,8 +422,8 @@ Result<Message> Worker::HandlePrepareToCommit(const CommitTsMsg& m) {
   std::lock_guard<std::mutex> guard(txn->mu);
   txn->phase = TxnPhase::kPreparedToCommit;
   txn->pending_commit_ts = m.commit_ts;
-  obs::Trace(options_.site_id, "worker.prepared_to_commit", m.txn,
-             static_cast<int64_t>(m.commit_ts));
+  metrics_.Trace("worker.prepared_to_commit", m.txn,
+                 static_cast<int64_t>(m.commit_ts));
   if (rt->log != nullptr && IsThreePhase(options_.protocol)) {
     // Canonical 3PC's middle forced write.
     LogRecord rec;
@@ -452,9 +451,9 @@ Status Worker::CommitLocally(TxnState* txn, Timestamp commit_ts) {
   }
   rt->locks.ReleaseAll(txn->id);
   rt->txns.Erase(txn->id);
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  obs::Trace(options_.site_id, "worker.committed", txn->id,
-             static_cast<int64_t>(commit_ts));
+  metrics_.counter(obs::CounterId::kTxnCommitted).Add();
+  metrics_.Trace("worker.committed", txn->id,
+                 static_cast<int64_t>(commit_ts));
   return Status::OK();
 }
 
@@ -472,7 +471,7 @@ Status Worker::AbortLocally(TxnState* txn) {
   }
   rt->locks.ReleaseAll(txn->id);
   rt->txns.Erase(txn->id);
-  obs::Trace(options_.site_id, "worker.aborted", txn->id);
+  metrics_.Trace("worker.aborted", txn->id);
   return Status::OK();
 }
 
@@ -633,24 +632,23 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
     pages_visited = scan.pages_visited();
   }
   if (m.snapshot_read) {
-    obs::Count(options_.site_id, obs::CounterId::kReadSnapshotScans);
+    metrics_.counter(obs::CounterId::kReadSnapshotScans).Add();
     // What a locking read would have acquired: the IS table lock plus one S
     // page lock per visited page.
-    obs::Count(options_.site_id, obs::CounterId::kReadLockBypass,
-               static_cast<int64_t>(1 + pages_visited));
+    metrics_.counter(obs::CounterId::kReadLockBypass)
+        .Add(static_cast<int64_t>(1 + pages_visited));
     const Timestamp now = authority_->Now();
-    obs::Observe(options_.site_id, obs::HistogramId::kReadSnapshotLagEpochs,
-                 now > m.spec.as_of
-                     ? static_cast<int64_t>(now - m.spec.as_of)
-                     : 0);
+    metrics_.histogram(obs::HistogramId::kReadSnapshotLagEpochs)
+        .Record(now > m.spec.as_of ? static_cast<int64_t>(now - m.spec.as_of)
+                                   : 0);
   } else if (m.with_page_locks) {
-    obs::Count(options_.site_id, obs::CounterId::kReadLockScans);
+    metrics_.counter(obs::CounterId::kReadLockScans).Add();
   }
   if (m.max_tuples > 0 && !m.snapshot_read) {
     // Chunked non-snapshot scans are recovery catch-up streams: attribute
     // the served chunk to this buddy so parallel recovery's fan-out across
     // sites is observable per buddy.
-    obs::Count(options_.site_id, obs::CounterId::kRecoveryChunksServed);
+    metrics_.counter(obs::CounterId::kRecoveryChunksServed).Add();
   }
   reply.minimal = m.minimal_projection;
   if (m.minimal_projection) {
@@ -754,8 +752,8 @@ void Worker::OnSiteCrash(SiteId crashed) {
 }
 
 void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
-  obs::Trace(options_.site_id, "worker.consensus.begin", txn_id,
-             static_cast<int64_t>(dead_coordinator));
+  metrics_.Trace("worker.consensus.begin", txn_id,
+                 static_cast<int64_t>(dead_coordinator));
   HARBOR_FAULT_HIT("worker.consensus", options_.site_id);
   Runtime* rt = rt_.get();
   if (rt == nullptr || !running_.load()) return;
@@ -817,8 +815,8 @@ void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
     }
   }
 
-  obs::Trace(options_.site_id, "worker.consensus.decision", txn_id,
-             must_commit ? 1 : 0, static_cast<int64_t>(alive.size()));
+  metrics_.Trace("worker.consensus.decision", txn_id,
+                 must_commit ? 1 : 0, static_cast<int64_t>(alive.size()));
   if (must_commit) {
     for (SiteId p : alive) {
       if (p == options_.site_id) continue;

@@ -58,9 +58,11 @@ struct WorkerOptions {
 /// and Start() rebuilds — fail-stop semantics (§3.2).
 class Worker {
  public:
+  /// `metrics` is this site's registry in the cluster's observer; it
+  /// outlives every restart, so counts survive a crash.
   Worker(Network* network, GlobalCatalog* catalog,
          TimestampAuthority* authority, LivenessDirectory* liveness,
-         WorkerOptions options);
+         obs::Metrics& metrics, WorkerOptions options);
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -108,6 +110,7 @@ class Worker {
   SimDisk* data_disk() { return &rt_->data_disk; }
   SimDisk* log_disk() { return &rt_->log_disk; }
   SimCpu* cpu() { return &rt_->cpu; }
+  obs::Metrics& metrics() { return metrics_; }
   TimestampAuthority* authority() { return authority_; }
   Network* network() { return network_; }
   runtime::Scheduler* scheduler() { return network_->scheduler(); }
@@ -120,9 +123,6 @@ class Worker {
   /// constraint violation, §4.3).
   void FailNextPrepare() { fail_next_prepare_ = true; }
 
-  /// Number of transactions this worker committed (throughput accounting).
-  int64_t commits() const { return commits_.load(); }
-
   /// This site's snapshot low-water mark: the newest cluster-wide stable
   /// timestamp it has learned from piggybacked commit/abort traffic and
   /// served snapshot scans. Every timestamp <= mark is safe to read without
@@ -132,7 +132,7 @@ class Worker {
 
  private:
   struct Runtime {
-    explicit Runtime(const WorkerOptions& options);
+    Runtime(const WorkerOptions& options, obs::Metrics& metrics);
 
     SimDisk data_disk;
     SimDisk log_disk;
@@ -175,6 +175,7 @@ class Worker {
   GlobalCatalog* const catalog_;
   TimestampAuthority* const authority_;
   LivenessDirectory* const liveness_;
+  obs::Metrics& metrics_;
   const WorkerOptions options_;
 
   std::unique_ptr<Runtime> rt_;
@@ -182,7 +183,6 @@ class Worker {
   std::atomic<bool> running_{false};
   std::atomic<bool> checkpoints_paused_{false};
   std::atomic<bool> fail_next_prepare_{false};
-  std::atomic<int64_t> commits_{0};
   mutable std::mutex lifecycle_mu_;
   /// Serializes read-modify-write cycles on the checkpoint record file
   /// (parallel object recovery checkpoints concurrently, §5.3).

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/observer.h"
 #include "runtime/scheduler.h"
 
 namespace harbor::fault {
@@ -176,8 +175,9 @@ Result<ChaosSchedule> ChaosSchedule::Parse(const std::string& text) {
 
 // -------------------------------------------------------------- injector
 
-FaultInjector::FaultInjector(ChaosSchedule schedule)
+FaultInjector::FaultInjector(ChaosSchedule schedule, obs::Observer* observer)
     : schedule_(std::move(schedule)),
+      observer_(observer),
       point_state_(schedule_.points.size()),
       link_state_(schedule_.links.size()),
       rng_(schedule_.seed) {}
@@ -302,8 +302,9 @@ Status FaultInjector::OnPoint(const char* point, SiteId site, CrashMode mode) {
   if (!fire) return Status::OK();
   // The fired fault lands in the event trace so a failing chaos replay shows
   // exactly where in the protocol timeline the fault hit.
-  obs::Count(site, obs::CounterId::kFaultsFired);
-  obs::TraceDetail(site, "fault.point", std::move(description));
+  if (observer_ != nullptr) {
+    observer_->Trace(site, "fault.point", 0, 0, 0, std::move(description));
+  }
   switch (spec.action) {
     case FaultAction::kDelay:
       std::this_thread::sleep_for(std::chrono::milliseconds(spec.delay_ms));
@@ -356,9 +357,10 @@ LinkDecision FaultInjector::OnMessage(SiteId from, SiteId to,
                               " action=" + FaultActionName(spec.action);
     fired_.push_back(description);
     // Attributed to the sender: the receiver never sees a dropped message.
-    obs::Count(from, obs::CounterId::kFaultsFired);
-    obs::TraceDetail(from, "fault.link", std::move(description), 0,
-                     static_cast<int64_t>(to), msg_type);
+    if (observer_ != nullptr) {
+      observer_->Trace(from, "fault.link", 0, static_cast<int64_t>(to),
+                       msg_type, std::move(description));
+    }
   }
   return decision;
 }

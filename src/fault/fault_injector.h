@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/types.h"
+#include "obs/observer.h"
 
 namespace harbor::fault {
 
@@ -105,7 +106,11 @@ extern std::atomic<FaultInjector*> g_current;
 /// declare the injector after the cluster so it is destroyed first).
 class FaultInjector {
  public:
-  explicit FaultInjector(ChaosSchedule schedule);
+  /// Fired faults are traced as fault.* events in `observer` (a
+  /// cluster's) when one is given, so a failing chaos replay shows them in
+  /// protocol order.
+  explicit FaultInjector(ChaosSchedule schedule,
+                         obs::Observer* observer = nullptr);
   ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
@@ -172,6 +177,7 @@ class FaultInjector {
   void ReapLocked();
 
   const ChaosSchedule schedule_;
+  obs::Observer* const observer_;
   mutable std::mutex mu_;
   std::condition_variable crash_cv_;  // crash_inflight_ reached zero
   std::vector<PointState> point_state_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/observer.h"
 #include "runtime/scheduler.h"
 
 namespace harbor {
@@ -129,8 +128,7 @@ Status LockManager::Acquire(LockKey key, LockOwnerId owner, LockMode mode) {
   if (upgrade && Covers(held_it->second, mode)) newly_held = held_it->second;
   e.holders[owner] = newly_held;
   if (!upgrade) owned_[owner].push_back(key);
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(site_id_, obs::CounterId::kLockAcquires);
+  metrics_.counter(obs::CounterId::kLockAcquires).Add();
   e.cv.notify_all();
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace harbor {
 
@@ -52,10 +53,13 @@ inline LockOwnerId MakeRecoveryOwner(SiteId site) {
 /// the transaction.
 class LockManager {
  public:
-  explicit LockManager(std::chrono::milliseconds default_timeout =
-                           std::chrono::milliseconds(500),
-                       SiteId site_id = kInvalidSiteId)
-      : default_timeout_ms_(default_timeout.count()), site_id_(site_id) {}
+  /// Granted acquisitions (page + table, including upgrades) are counted
+  /// in `metrics` as lock.acquires: the snapshot read path's "zero lock
+  /// acquisitions" claim is asserted against deltas of that count.
+  explicit LockManager(obs::Metrics& metrics,
+                       std::chrono::milliseconds default_timeout =
+                           std::chrono::milliseconds(500))
+      : default_timeout_ms_(default_timeout.count()), metrics_(metrics) {}
 
   /// Acquires (or upgrades to) `mode` on a page; blocks until granted,
   /// timeout (=> deadlock victim), or site shutdown.
@@ -85,14 +89,6 @@ class LockManager {
 
   /// Number of distinct locked resources (for tests).
   size_t NumLockedResources();
-
-  /// Total granted acquisitions (page + table, including upgrades) over the
-  /// manager's lifetime. The snapshot read path's "zero lock acquisitions"
-  /// claim is asserted against deltas of this counter; it is always on so
-  /// the bypass is checkable without an installed Observer.
-  int64_t acquires() const {
-    return acquires_.load(std::memory_order_relaxed);
-  }
 
   /// Atomic: tests tighten the timeout while waiter threads are computing
   /// deadlines from it (a plain member here is a TSan-visible data race).
@@ -130,8 +126,7 @@ class LockManager {
   bool CanGrantLocked(Entry& e, LockOwnerId owner, LockMode mode);
 
   std::atomic<int64_t> default_timeout_ms_;
-  const SiteId site_id_;
-  std::atomic<int64_t> acquires_{0};
+  obs::Metrics& metrics_;
   std::mutex mu_;
   bool shutdown_ = false;
   std::unordered_map<LockKey, std::unique_ptr<Entry>, LockKeyHash> table_;

@@ -6,12 +6,16 @@
 #include <thread>
 
 #include "fault/fault_injector.h"
-#include "obs/observer.h"
 
 namespace harbor {
 
-Network::Network(const SimConfig& config, runtime::Scheduler* scheduler)
-    : config_(config), sim_(config) {
+Network::Network(const SimConfig& config, runtime::Scheduler* scheduler,
+                 obs::Observer* observer)
+    : config_(config),
+      owned_observer_(observer == nullptr ? std::make_unique<obs::Observer>()
+                                          : nullptr),
+      observer_(observer == nullptr ? owned_observer_.get() : observer),
+      sim_(config, *observer_) {
   if (scheduler == nullptr) {
     owned_sched_ = std::make_unique<runtime::Scheduler>();
     sched_ = owned_sched_.get();
@@ -149,7 +153,7 @@ void Network::CrashSite(SiteId site) {
   // under ep->mu: the strand's last running turns may need it to observe
   // `stopping`.
   if (to_release != 0) sched_->ReleaseStrand(to_release);
-  obs::Trace(site, "net.crash");
+  observer_->Trace(site, "net.crash");
 
   // Only the transitioning crasher reaches this point, so subscribers fire
   // exactly once per crash, after the drain.

@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "fault/fault_injector.h"
+#include "obs/observer.h"
 #include "runtime/scheduler.h"
 #include "sim/sim_config.h"
 #include "sim/sim_network.h"
@@ -58,8 +59,11 @@ class Network {
  public:
   /// With a null `scheduler` the network owns a private runtime; pass a
   /// shared one (e.g. the cluster's) to host every subsystem on one pool.
+  /// Likewise with a null `observer` it owns the registry it counts
+  /// messages in.
   explicit Network(const SimConfig& config,
-                   runtime::Scheduler* scheduler = nullptr);
+                   runtime::Scheduler* scheduler = nullptr,
+                   obs::Observer* observer = nullptr);
   ~Network();
 
   Network(const Network&) = delete;
@@ -133,8 +137,8 @@ class Network {
   /// cluster-wide executor for timers, recovery fan-out, and sessions.
   runtime::Scheduler* scheduler() { return sched_; }
 
-  /// Messages delivered so far (Table 4.2 accounting).
-  int64_t num_messages() const { return sim_.num_messages(); }
+  /// The registry every message is counted in, per sending site.
+  obs::Observer& observer() { return *observer_; }
 
  private:
   struct PendingCall {
@@ -180,6 +184,8 @@ class Network {
   std::shared_ptr<Endpoint> Find(SiteId site);
 
   const SimConfig config_;
+  std::unique_ptr<obs::Observer> owned_observer_;
+  obs::Observer* const observer_;
   SimNetwork sim_;
   std::unique_ptr<runtime::Scheduler> owned_sched_;
   runtime::Scheduler* sched_;

@@ -165,8 +165,6 @@ const char* CounterName(CounterId id) {
       return "recovery.stream_failovers";
     case CounterId::kRecoveryChunksServed:
       return "recovery.chunks_served";
-    case CounterId::kFaultsFired: return "fault.fired";
-    case CounterId::kBufHits: return "buf.hits";
     case CounterId::kBufMisses: return "buf.misses";
     case CounterId::kBufEvictions: return "buf.evictions";
     case CounterId::kBufDirtyVictimFlushes:
@@ -175,9 +173,6 @@ const char* CounterName(CounterId id) {
     case CounterId::kReadSnapshotScans: return "read.snapshot_scans";
     case CounterId::kReadLockScans: return "read.lock_scans";
     case CounterId::kReadLockBypass: return "read.lock_bypass";
-    case CounterId::kWlOps: return "wl.ops";
-    case CounterId::kWlOpFailures: return "wl.op_failures";
-    case CounterId::kWlRecoveries: return "wl.recoveries";
     case CounterId::kCount: break;
   }
   return "unknown";
@@ -195,7 +190,6 @@ const char* GaugeName(GaugeId id) {
 const char* HistogramName(HistogramId id) {
   switch (id) {
     case HistogramId::kDiskForceNs: return "disk.force_ns";
-    case HistogramId::kNetMessageBytes: return "net.message_bytes";
     case HistogramId::kWalForceNs: return "wal.force_ns";
     case HistogramId::kWalBatchRecords: return "wal.batch_records";
     case HistogramId::kCommitLatencyNs: return "commit.latency_ns";
@@ -210,17 +204,8 @@ const char* HistogramName(HistogramId id) {
       return "recovery.chunk_stall_ns";
     case HistogramId::kRecoveryStreamNs:
       return "recovery.stream_ns";
-    case HistogramId::kBufMissReadNs: return "buf.miss_read_ns";
-    case HistogramId::kBufShardLockWaitNs: return "buf.shard_lock_wait_ns";
     case HistogramId::kReadSnapshotLagEpochs:
       return "read.snapshot_lag_epochs";
-    case HistogramId::kWlInsertNs: return "wl.insert_ns";
-    case HistogramId::kWlUpdateNs: return "wl.update_ns";
-    case HistogramId::kWlDeleteNs: return "wl.delete_ns";
-    case HistogramId::kWlSnapshotScanNs: return "wl.snapshot_scan_ns";
-    case HistogramId::kWlLockingScanNs: return "wl.locking_scan_ns";
-    case HistogramId::kWlHistoricalScanNs: return "wl.historical_scan_ns";
-    case HistogramId::kWlRecoveryNs: return "wl.recovery_ns";
     case HistogramId::kCount: break;
   }
   return "unknown";

@@ -17,7 +17,9 @@ namespace harbor::obs {
 /// is an array index plus a relaxed atomic op, never a hash lookup or a
 /// mutex. Table 4.2 / Figures 6-4..6-6 are quantitative claims about forced
 /// writes, messages, and phase durations; these are the counters those
-/// numbers come from when an Observer is installed (see observer.h).
+/// numbers come from. Each cluster's Observer owns one Metrics per site, and
+/// every component records into its site's Metrics — always on, with no
+/// second copy of any count (see observer.h).
 
 class Counter {
  public:
@@ -105,8 +107,9 @@ enum class CounterId : uint8_t {
   kNetBytesSent,
   kWalForces,             // forced log writes issued by this site's WAL
   kWalRecordsFlushed,     // records carried by those forces
-  kTxnCommitted,          // coordinator-side commit decisions
-  kTxnAborted,
+  kTxnCommitted,          // commit decisions (coordinator) or local
+                          // commits (worker) at this site
+  kTxnAborted,            // coordinator-side abort decisions
   kRecoveryPhase1Removed,  // tuples physically removed in Phase 1
   kRecoveryPhase1Undeleted,
   kRecoveryPhase2Tuples,   // tuples copied from buddies in Phase 2
@@ -120,8 +123,6 @@ enum class CounterId : uint8_t {
   kRecoveryStreamFailovers,  // streams failed over to another buddy
   kRecoveryChunksServed,   // catch-up chunks this site served to a
                            // recovering buddy
-  kFaultsFired,            // fault points + link faults fired at this site
-  kBufHits,                // buffer pool page-table hits
   kBufMisses,              // misses (each cost a disk read)
   kBufEvictions,           // frames recycled to serve a miss
   kBufDirtyVictimFlushes,  // evictions that had to steal a dirty page
@@ -129,9 +130,6 @@ enum class CounterId : uint8_t {
   kReadSnapshotScans,      // scans served on the lock-free snapshot path
   kReadLockScans,          // scans served with S locks (forced locking reads)
   kReadLockBypass,         // lock acquisitions snapshot scans did NOT take
-  kWlOps,                  // workload-driver operations executed
-  kWlOpFailures,           // operations that returned an error to the driver
-  kWlRecoveries,           // forced crash+recover cycles the driver ran
   kCount,
 };
 
@@ -143,7 +141,6 @@ enum class GaugeId : uint8_t {
 
 enum class HistogramId : uint8_t {
   kDiskForceNs = 0,        // modelled cost of each forced write
-  kNetMessageBytes,        // on-wire size of each sent message
   kWalForceNs,             // wall latency of each log force
   kWalBatchRecords,        // group-commit batch size per force
   kCommitLatencyNs,        // coordinator commit-protocol latency per txn
@@ -155,18 +152,7 @@ enum class HistogramId : uint8_t {
   kRecoveryChunkApplyNs,   // local apply time per chunk
   kRecoveryChunkStallNs,   // fetch wait not hidden behind the previous apply
   kRecoveryStreamNs,       // wall time of one phase-2 catch-up stream
-  kBufMissReadNs,          // wall latency of each miss's disk read
-  kBufShardLockWaitNs,     // wall time spent acquiring a page-table shard
   kReadSnapshotLagEpochs,  // Now() - snapshot ts at serve time (staleness)
-  // Workload-driver per-operation latencies, measured from the op's
-  // *scheduled* open-loop arrival time (queueing delay included).
-  kWlInsertNs,
-  kWlUpdateNs,
-  kWlDeleteNs,
-  kWlSnapshotScanNs,
-  kWlLockingScanNs,
-  kWlHistoricalScanNs,
-  kWlRecoveryNs,           // forced mid-soak crash+recover wall time
   kCount,
 };
 
@@ -174,10 +160,23 @@ const char* CounterName(CounterId id);
 const char* GaugeName(GaugeId id);
 const char* HistogramName(HistogramId id);
 
+class Observer;
+
 /// \brief One site's metric registry: every metric preallocated, recording
 /// is index + relaxed atomic.
+///
+/// A Metrics made by an Observer also carries its site's trace: Trace()
+/// records into the observer's ring for the site once tracing is enabled.
+/// A default-constructed Metrics (a component under unit test) counts but
+/// never traces.
 class Metrics {
  public:
+  Metrics() = default;
+  Metrics(Observer* observer, SiteId site);
+
+  Metrics(const Metrics&) = delete;
+  Metrics& operator=(const Metrics&) = delete;
+
   Counter& counter(CounterId id) {
     return counters_[static_cast<size_t>(id)];
   }
@@ -201,7 +200,22 @@ class Metrics {
   ///                          "mean":..,"p50":..,"p99":..}}}
   std::string ToJson(SiteId site) const;
 
+  /// True when Trace() records (the owning observer has tracing on).
+  bool tracing() const {
+    return tracing_ != nullptr && tracing_->load(std::memory_order_relaxed);
+  }
+  /// One trace event attributed to this site; a load and a not-taken
+  /// branch unless tracing().
+  void Trace(const char* kind, TxnId txn = 0, int64_t a = 0, int64_t b = 0) {
+    if (tracing()) Record(kind, txn, a, b);
+  }
+
  private:
+  void Record(const char* kind, TxnId txn, int64_t a, int64_t b);
+
+  Observer* const observer_ = nullptr;
+  const std::atomic<bool>* const tracing_ = nullptr;  // the observer's flag
+  const SiteId site_ = kInvalidSiteId;
   std::array<Counter, static_cast<size_t>(CounterId::kCount)> counters_;
   std::array<Gauge, static_cast<size_t>(GaugeId::kCount)> gauges_;
   std::array<Histogram, static_cast<size_t>(HistogramId::kCount)> histograms_;

@@ -3,55 +3,40 @@
 #include <algorithm>
 #include <cstdio>
 
-namespace harbor::obs {
+#include "common/status.h"
 
-namespace internal {
-std::atomic<Observer*> g_current{nullptr};
-}  // namespace internal
+namespace harbor::obs {
 
 Observer::Observer(size_t trace_capacity_per_site)
     : trace_capacity_(trace_capacity_per_site) {}
 
-Observer::~Observer() { Uninstall(); }
+Observer::~Observer() = default;
 
-void Observer::Install() {
-  Observer* expected = nullptr;
-  internal::g_current.compare_exchange_strong(expected, this,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed);
-}
-
-void Observer::Uninstall() {
-  Observer* expected = this;
-  internal::g_current.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed);
+Observer::SiteObs* Observer::Find(SiteId site) const {
+  for (size_t i = site % kMaxSites;; i = (i + 1) % kMaxSites) {
+    SiteObs* s = slots_[i].load(std::memory_order_acquire);
+    if (s == nullptr || s->site == site) return s;
+  }
 }
 
 Observer::SiteObs& Observer::Shard(SiteId site) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = sites_.find(site);
-    if (it != sites_.end()) return *it->second;
+  if (SiteObs* s = Find(site)) return *s;
+  std::lock_guard<std::mutex> lock(mu_);
+  HARBOR_CHECK(owned_.size() + 1 < kMaxSites);
+  for (size_t i = site % kMaxSites;; i = (i + 1) % kMaxSites) {
+    SiteObs* s = slots_[i].load(std::memory_order_relaxed);
+    if (s != nullptr && s->site == site) return *s;  // added meanwhile
+    if (s == nullptr) {
+      owned_.push_back(std::make_unique<SiteObs>(this, site, trace_capacity_));
+      slots_[i].store(owned_.back().get(), std::memory_order_release);
+      return *owned_.back();
+    }
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto& slot = sites_[site];
-  if (!slot) slot = std::make_unique<SiteObs>(trace_capacity_);
-  return *slot;
 }
-
-const Observer::SiteObs* Observer::FindShard(SiteId site) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? nullptr : it->second.get();
-}
-
-Metrics& Observer::MetricsFor(SiteId site) { return Shard(site).metrics; }
-
-TraceRing& Observer::RingFor(SiteId site) { return Shard(site).ring; }
 
 void Observer::Trace(SiteId site, const char* kind, TxnId txn, int64_t a,
                      int64_t b, std::string detail) {
+  if (!tracing()) return;
   TraceEvent event;
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   event.nanos = NowNanos();
@@ -64,16 +49,39 @@ void Observer::Trace(SiteId site, const char* kind, TxnId txn, int64_t a,
   Shard(site).ring.Record(std::move(event));
 }
 
+Metrics::Metrics(Observer* observer, SiteId site)
+    : observer_(observer), tracing_(&observer->tracing_), site_(site) {}
+
+void Metrics::Record(const char* kind, TxnId txn, int64_t a, int64_t b) {
+  observer_->Trace(site_, kind, txn, a, b);
+}
+
+std::vector<const Observer::SiteObs*> Observer::Shards() const {
+  std::vector<const SiteObs*> out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& s : owned_) out.push_back(s.get());
+  }
+  std::sort(out.begin(), out.end(), [](const SiteObs* x, const SiteObs* y) {
+    return x->site < y->site;
+  });
+  return out;
+}
+
+int64_t Observer::Total(CounterId id) const {
+  int64_t total = 0;
+  for (const SiteObs* s : Shards()) total += s->metrics.counter(id).value();
+  return total;
+}
+
 std::vector<SiteId> Observer::Sites() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<SiteId> out;
-  out.reserve(sites_.size());
-  for (const auto& [site, shard] : sites_) out.push_back(site);
+  for (const SiteObs* s : Shards()) out.push_back(s->site);
   return out;
 }
 
 std::string Observer::MetricsJson(SiteId site) const {
-  const SiteObs* shard = FindShard(site);
+  const SiteObs* shard = Find(site);
   if (!shard) {
     return "{\"site\":" + std::to_string(site) + "}";
   }
@@ -82,8 +90,8 @@ std::string Observer::MetricsJson(SiteId site) const {
 
 std::string Observer::AllMetricsJson() const {
   std::string out;
-  for (SiteId site : Sites()) {
-    out.append(MetricsJson(site));
+  for (const SiteObs* s : Shards()) {
+    out.append(s->metrics.ToJson(s->site));
     out.push_back('\n');
   }
   return out;
@@ -91,10 +99,8 @@ std::string Observer::AllMetricsJson() const {
 
 std::vector<TraceEvent> Observer::MergedTrace() const {
   std::vector<TraceEvent> merged;
-  for (SiteId site : Sites()) {
-    const SiteObs* shard = FindShard(site);
-    if (!shard) continue;
-    auto events = shard->ring.Snapshot();
+  for (const SiteObs* s : Shards()) {
+    auto events = s->ring.Snapshot();
     merged.insert(merged.end(), std::make_move_iterator(events.begin()),
                   std::make_move_iterator(events.end()));
   }
@@ -108,10 +114,7 @@ std::vector<TraceEvent> Observer::MergedTrace() const {
 std::string Observer::TraceToString() const {
   auto merged = MergedTrace();
   uint64_t dropped = 0;
-  for (SiteId site : Sites()) {
-    const SiteObs* shard = FindShard(site);
-    if (shard) dropped += shard->ring.dropped();
-  }
+  for (const SiteObs* s : Shards()) dropped += s->ring.dropped();
   std::string out;
   if (merged.empty()) {
     out = "(no trace events recorded)\n";

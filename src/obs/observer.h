@@ -1,10 +1,10 @@
 #ifndef HARBOR_OBS_OBSERVER_H_
 #define HARBOR_OBS_OBSERVER_H_
 
+#include <array>
 #include <atomic>
-#include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,25 +15,18 @@
 
 namespace harbor::obs {
 
-class Observer;
-
-namespace internal {
-/// The installed observer; null almost always. Instrumentation points
-/// reduce to one acquire load and an unlikely branch when nothing is
-/// installed — the same zero-cost pattern as FaultInjector's fault points.
-extern std::atomic<Observer*> g_current;
-}  // namespace internal
-
-/// \brief Process-wide metrics + trace sink, sharded per site.
+/// \brief One cluster's metrics and trace, sharded per site.
 ///
-/// At most one Observer is installed at a time (benches and tests install
-/// in scope, uninstall before teardown — declare the observer after the
-/// cluster so it is destroyed first, mirroring FaultInjector). Sites are
-/// lazily materialised on first record: site ids are sparse (workers at
-/// 1..N, extra coordinators at 1000+n), so storage is a shared_mutex-guarded
-/// map of per-site shards; the hot path is a shared-lock lookup plus relaxed
-/// atomics into that site's Metrics, or one short TraceRing critical
-/// section for protocol-rate trace events.
+/// Each Cluster owns one Observer and adds its sites up front; components
+/// hold their site's Metrics& and record unconditionally, so counts are
+/// always on and two clusters in one process never share a count. Only the
+/// event trace is opt-in: Trace() records nothing until EnableTrace().
+///
+/// Site ids are sparse (workers at 1..N, extra coordinators at 1000+n), so
+/// sites live in a fixed open-addressed table of atomic pointers: a slot is
+/// filled once under `mu_` and never changes, which makes MetricsFor() on a
+/// known site — the network charging each message to its sender — a
+/// lock-free probe. An unknown site is added on first use.
 class Observer {
  public:
   explicit Observer(size_t trace_capacity_per_site = 4096);
@@ -42,20 +35,25 @@ class Observer {
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
 
-  void Install();
-  void Uninstall();
-
-  static Observer* Current() {
-    return internal::g_current.load(std::memory_order_acquire);
+  /// The registry of `site`, added on first use.
+  Metrics& MetricsFor(SiteId site) {
+    // A known site sits in its home slot unless another id collided there.
+    SiteObs* s = slots_[site % kMaxSites].load(std::memory_order_acquire);
+    return s != nullptr && s->site == site ? s->metrics : Shard(site).metrics;
   }
 
-  Metrics& MetricsFor(SiteId site);
-  TraceRing& RingFor(SiteId site);
+  /// Starts recording trace events (off by default; never switched off).
+  void EnableTrace() { tracing_.store(true, std::memory_order_relaxed); }
+  bool tracing() const { return tracing_.load(std::memory_order_relaxed); }
 
-  void Trace(SiteId site, const char* kind, TxnId txn, int64_t a, int64_t b,
-             std::string detail = {});
+  /// Records one event for `site` when tracing is enabled.
+  void Trace(SiteId site, const char* kind, TxnId txn = 0, int64_t a = 0,
+             int64_t b = 0, std::string detail = {});
 
-  /// Sites with any recorded metric or trace, ascending.
+  /// Sum of one counter over every site.
+  int64_t Total(CounterId id) const;
+
+  /// Sites added so far, ascending.
   std::vector<SiteId> Sites() const;
 
   /// JSON metrics snapshot for one site (see Metrics::ToJson).
@@ -70,66 +68,30 @@ class Observer {
   std::string TraceToString() const;
 
  private:
+  friend class Metrics;  // reads tracing_
+
   struct SiteObs {
+    SiteObs(Observer* observer, SiteId site, size_t trace_capacity)
+        : site(site), metrics(observer, site), ring(trace_capacity) {}
+    const SiteId site;
     Metrics metrics;
     TraceRing ring;
-    explicit SiteObs(size_t trace_capacity) : ring(trace_capacity) {}
   };
 
+  static constexpr size_t kMaxSites = 1024;
+
   SiteObs& Shard(SiteId site);
-  const SiteObs* FindShard(SiteId site) const;
+  SiteObs* Find(SiteId site) const;
+  /// Every site's shard, ascending site order.
+  std::vector<const SiteObs*> Shards() const;
 
   const size_t trace_capacity_;
+  std::atomic<bool> tracing_{false};
   std::atomic<uint64_t> next_seq_{1};
-  mutable std::shared_mutex mu_;
-  std::map<SiteId, std::unique_ptr<SiteObs>> sites_;
+  std::array<std::atomic<SiteObs*>, kMaxSites> slots_{};
+  mutable std::mutex mu_;  // adding a site
+  std::vector<std::unique_ptr<SiteObs>> owned_;
 };
-
-// ------------------------------------------------------- inline fast paths
-//
-// All helpers are no-ops (one load + untaken branch) with no Observer
-// installed. `site` may be kInvalidSiteId for process-wide events.
-
-inline void Count(SiteId site, CounterId id, int64_t delta = 1) {
-  Observer* o = Observer::Current();
-  if (__builtin_expect(o != nullptr, 0)) {
-    o->MetricsFor(site).counter(id).Add(delta);
-  }
-}
-
-inline void SetGauge(SiteId site, GaugeId id, int64_t value) {
-  Observer* o = Observer::Current();
-  if (__builtin_expect(o != nullptr, 0)) {
-    o->MetricsFor(site).gauge(id).Set(value);
-  }
-}
-
-inline void Observe(SiteId site, HistogramId id, int64_t value) {
-  Observer* o = Observer::Current();
-  if (__builtin_expect(o != nullptr, 0)) {
-    o->MetricsFor(site).histogram(id).Record(value);
-  }
-}
-
-inline void Trace(SiteId site, const char* kind, TxnId txn = 0, int64_t a = 0,
-                  int64_t b = 0) {
-  Observer* o = Observer::Current();
-  if (__builtin_expect(o != nullptr, 0)) {
-    o->Trace(site, kind, txn, a, b);
-  }
-}
-
-inline void TraceDetail(SiteId site, const char* kind, std::string detail,
-                        TxnId txn = 0, int64_t a = 0, int64_t b = 0) {
-  Observer* o = Observer::Current();
-  if (__builtin_expect(o != nullptr, 0)) {
-    o->Trace(site, kind, txn, a, b, std::move(detail));
-  }
-}
-
-/// True only when an Observer is installed — gate timing work (NowNanos
-/// pairs) that would otherwise run for nothing.
-inline bool Enabled() { return Observer::Current() != nullptr; }
 
 }  // namespace harbor::obs
 

@@ -5,9 +5,7 @@
 namespace harbor::obs {
 
 TraceRing::TraceRing(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceRing::Record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -12,7 +12,7 @@ namespace harbor::obs {
 
 /// \brief One structured protocol event.
 ///
-/// `seq` is drawn from a process-global monotonic counter at record time, so
+/// `seq` is drawn from the observer's monotonic counter at record time, so
 /// events from different sites' rings merge into a single causal-ish
 /// timeline (a lower seq was *recorded* earlier). `kind` is a string
 /// literal naming the protocol step ("coord.prepare", "wal.force",

@@ -1,12 +1,11 @@
 #ifndef HARBOR_SIM_SIM_DISK_H_
 #define HARBOR_SIM_SIM_DISK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "common/types.h"
-#include "obs/observer.h"
+#include "obs/metrics.h"
 #include "sim/sim_config.h"
 #include "sim/sim_device.h"
 
@@ -25,36 +24,30 @@ namespace harbor {
 /// do not seek against data-page traffic (§1.2, §6.2).
 class SimDisk {
  public:
-  /// `site` attributes this disk's metrics to a site in the installed
-  /// obs::Observer; kInvalidSiteId (e.g. scratch disks in unit tests) still
-  /// records, under the invalid-site shard.
-  SimDisk(std::string name, const SimConfig& config,
-          SiteId site = kInvalidSiteId)
+  /// Every charge is counted in `metrics`, the owning site's registry.
+  SimDisk(std::string name, const SimConfig& config, obs::Metrics& metrics)
       : config_(config),
         device_(std::move(name), config.enable_latency),
-        site_(site) {}
+        metrics_(metrics) {}
 
   /// Charges a sequential read of `bytes` (e.g. a segment scan).
   void ChargeSequentialRead(int64_t bytes) {
     device_.Charge(TransferCost(bytes));
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(site_, obs::CounterId::kDiskReads);
+    metrics_.counter(obs::CounterId::kDiskReads).Add();
   }
 
   /// Charges a random page read (seek + transfer), e.g. a buffer-pool miss
   /// on a point access.
   void ChargeRandomRead(int64_t bytes) {
     device_.Charge(config_.disk_random_latency_ns + TransferCost(bytes));
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(site_, obs::CounterId::kDiskReads);
+    metrics_.counter(obs::CounterId::kDiskReads).Add();
   }
 
   /// Charges an asynchronous (non-forced) write: transfer cost only, the OS
   /// is assumed to schedule it.
   void ChargeWrite(int64_t bytes) {
     device_.Charge(TransferCost(bytes));
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(site_, obs::CounterId::kDiskWrites);
+    metrics_.counter(obs::CounterId::kDiskWrites).Add();
   }
 
   /// Charges a synchronous forced write: full seek + rotational latency plus
@@ -64,23 +57,11 @@ class SimDisk {
   void ChargeForcedWrite(int64_t bytes) {
     const int64_t cost = config_.disk_force_latency_ns + TransferCost(bytes);
     device_.Charge(cost);
-    forced_writes_.fetch_add(1, std::memory_order_relaxed);
-    obs::Count(site_, obs::CounterId::kDiskForcedWrites);
-    obs::Observe(site_, obs::HistogramId::kDiskForceNs, cost);
+    metrics_.counter(obs::CounterId::kDiskForcedWrites).Add();
+    metrics_.histogram(obs::HistogramId::kDiskForceNs).Record(cost);
   }
 
-  int64_t num_reads() const { return reads_.load(std::memory_order_relaxed); }
-  int64_t num_writes() const { return writes_.load(std::memory_order_relaxed); }
-  int64_t num_forced_writes() const {
-    return forced_writes_.load(std::memory_order_relaxed);
-  }
   int64_t total_busy_ns() const { return device_.total_cost_ns(); }
-
-  void ResetStats() {
-    reads_ = 0;
-    writes_ = 0;
-    forced_writes_ = 0;
-  }
 
   const SimConfig& config() const { return config_; }
 
@@ -91,10 +72,7 @@ class SimDisk {
 
   const SimConfig config_;
   SimDevice device_;
-  const SiteId site_;
-  std::atomic<int64_t> reads_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> forced_writes_{0};
+  obs::Metrics& metrics_;
 };
 
 }  // namespace harbor

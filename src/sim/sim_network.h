@@ -1,7 +1,6 @@
 #ifndef HARBOR_SIM_SIM_NETWORK_H_
 #define HARBOR_SIM_SIM_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -25,30 +24,21 @@ namespace harbor {
 /// essentially receives two tuples in the time to send one" (§6.4.1).
 class SimNetwork {
  public:
-  explicit SimNetwork(const SimConfig& config) : config_(config) {}
+  /// Each message is counted against its sender's site in `observer`.
+  SimNetwork(const SimConfig& config, obs::Observer& observer)
+      : config_(config), observer_(observer) {}
 
   /// Charges the delivery of `bytes` from site `from`, blocking the calling
   /// thread for the modelled duration.
   void ChargeMessage(SiteId from, int64_t bytes) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    obs::Count(from, obs::CounterId::kNetMessagesSent);
-    obs::Count(from, obs::CounterId::kNetBytesSent, bytes);
-    obs::Observe(from, obs::HistogramId::kNetMessageBytes, bytes);
+    obs::Metrics& m = observer_.MetricsFor(from);
+    m.counter(obs::CounterId::kNetMessagesSent).Add();
+    m.counter(obs::CounterId::kNetBytesSent).Add(bytes);
     if (!config_.enable_latency) return;
     Nic(from).Charge(bytes * 1'000'000'000 /
                      config_.net_bandwidth_bytes_per_sec);
     // Propagation latency is unserialized: sleep outside the NIC queue.
     SimSleepNanos(config_.net_latency_ns);
-  }
-
-  int64_t num_messages() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  int64_t num_bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  void ResetStats() {
-    messages_ = 0;
-    bytes_ = 0;
   }
 
   const SimConfig& config() const { return config_; }
@@ -65,10 +55,9 @@ class SimNetwork {
   }
 
   const SimConfig config_;
+  obs::Observer& observer_;
   std::mutex mu_;
   std::unordered_map<SiteId, std::unique_ptr<SimDevice>> nics_;
-  std::atomic<int64_t> messages_{0};
-  std::atomic<int64_t> bytes_{0};
 };
 
 }  // namespace harbor

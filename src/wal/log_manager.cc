@@ -9,17 +9,17 @@
 
 #include "common/byte_buffer.h"
 #include "common/clock.h"
-#include "obs/observer.h"
 
 namespace harbor {
 
 LogManager::LogManager(std::string path, int fd, SimDisk* disk,
-                       bool group_commit, uint64_t durable_bytes, SiteId site)
+                       bool group_commit, uint64_t durable_bytes,
+                       obs::Metrics& metrics)
     : path_(std::move(path)),
       fd_(fd),
       disk_(disk),
       group_commit_(group_commit),
-      site_(site),
+      metrics_(metrics),
       next_offset_(durable_bytes) {}
 
 LogManager::~LogManager() { ::close(fd_); }
@@ -27,7 +27,7 @@ LogManager::~LogManager() { ::close(fd_); }
 Result<std::unique_ptr<LogManager>> LogManager::Open(const std::string& dir,
                                                      SimDisk* disk,
                                                      bool group_commit,
-                                                     SiteId site) {
+                                                     obs::Metrics& metrics) {
   ::mkdir(dir.c_str(), 0755);
   const std::string path = dir + "/wal.log";
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
@@ -41,7 +41,7 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(const std::string& dir,
   }
   auto lm = std::unique_ptr<LogManager>(
       new LogManager(path, fd, disk, group_commit,
-                     static_cast<uint64_t>(st.st_size), site));
+                     static_cast<uint64_t>(st.st_size), metrics));
   // Recover the LSN counters from the durable prefix.
   HARBOR_ASSIGN_OR_RETURN(auto records, lm->ReadAllDurable());
   Lsn last = records.empty() ? kInvalidLsn : records.back().lsn;
@@ -98,7 +98,7 @@ Status LogManager::Flush(Lsn target) {
     // be overlapped" (§6.3.1) — even if a concurrent force already pushed
     // the caller's bytes out, this caller still pays a full device force.
     std::lock_guard<std::mutex> serial(force_serial_mu_);
-    const int64_t start_ns = obs::Enabled() ? NowNanos() : 0;
+    const int64_t start_ns = NowNanos();
     std::vector<PendingRecord> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -114,23 +114,12 @@ Status LogManager::Flush(Lsn target) {
       return st;
     }
     if (disk_ != nullptr) disk_->ChargeForcedWrite(bytes);
-    num_forces_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (flushed_lsn_.load() < target) flushed_lsn_ = target;
     }
     flushed_cv_.notify_all();
-    if (obs::Enabled()) {
-      const auto n = static_cast<int64_t>(batch.size());
-      obs::Count(site_, obs::CounterId::kWalForces);
-      obs::Count(site_, obs::CounterId::kWalRecordsFlushed, n);
-      obs::Observe(site_, obs::HistogramId::kWalBatchRecords, n);
-      obs::Observe(site_, obs::HistogramId::kWalForceNs,
-                   NowNanos() - start_ns);
-      obs::SetGauge(site_, obs::GaugeId::kWalFlushedLsn,
-                    static_cast<int64_t>(flushed_lsn_.load()));
-      obs::Trace(site_, "wal.force", 0, static_cast<int64_t>(target), n);
-    }
+    RecordForce(batch.size(), start_ns, flushed_lsn_.load());
     return Status::OK();
   }
 
@@ -146,7 +135,7 @@ Status LogManager::Flush(Lsn target) {
     }
     // Become the leader: take everything pending so concurrent committers'
     // records ride along in a single forced write (group commit).
-    const int64_t start_ns = obs::Enabled() ? NowNanos() : 0;
+    const int64_t start_ns = NowNanos();
     std::vector<PendingRecord> batch(
         std::make_move_iterator(pending_.begin()),
         std::make_move_iterator(pending_.end()));
@@ -159,7 +148,6 @@ Status LogManager::Flush(Lsn target) {
     lock.unlock();
     Status st = WriteOut(batch);
     if (st.ok() && disk_ != nullptr) disk_->ChargeForcedWrite(bytes);
-    if (st.ok()) num_forces_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
     flushing_ = false;
     if (!st.ok()) {
@@ -174,19 +162,21 @@ Status LogManager::Flush(Lsn target) {
     }
     flushed_lsn_ = new_flushed;
     flushed_cv_.notify_all();
-    if (obs::Enabled()) {
-      const auto n = static_cast<int64_t>(batch.size());
-      obs::Count(site_, obs::CounterId::kWalForces);
-      obs::Count(site_, obs::CounterId::kWalRecordsFlushed, n);
-      obs::Observe(site_, obs::HistogramId::kWalBatchRecords, n);
-      obs::Observe(site_, obs::HistogramId::kWalForceNs,
-                   NowNanos() - start_ns);
-      obs::SetGauge(site_, obs::GaugeId::kWalFlushedLsn,
-                    static_cast<int64_t>(new_flushed));
-      obs::Trace(site_, "wal.force", 0, static_cast<int64_t>(new_flushed), n);
-    }
+    RecordForce(batch.size(), start_ns, new_flushed);
   }
   return Status::OK();
+}
+
+void LogManager::RecordForce(size_t records, int64_t start_ns, Lsn flushed) {
+  const auto n = static_cast<int64_t>(records);
+  metrics_.counter(obs::CounterId::kWalForces).Add();
+  metrics_.counter(obs::CounterId::kWalRecordsFlushed).Add(n);
+  metrics_.histogram(obs::HistogramId::kWalBatchRecords).Record(n);
+  metrics_.histogram(obs::HistogramId::kWalForceNs)
+      .Record(NowNanos() - start_ns);
+  metrics_.gauge(obs::GaugeId::kWalFlushedLsn)
+      .Set(static_cast<int64_t>(flushed));
+  metrics_.Trace("wal.force", 0, static_cast<int64_t>(flushed), n);
 }
 
 Status LogManager::FlushAll() { return Flush(last_lsn_.load()); }

@@ -34,12 +34,12 @@ namespace harbor {
 class LogManager {
  public:
   /// Opens (creating if needed) the log file `dir/wal.log`. `disk` models
-  /// the dedicated log disk and may be null in tests. `site` attributes this
-  /// log's metrics and trace events to a site in the installed
-  /// obs::Observer.
-  static Result<std::unique_ptr<LogManager>> Open(
-      const std::string& dir, SimDisk* disk, bool group_commit,
-      SiteId site = kInvalidSiteId);
+  /// the dedicated log disk and may be null in tests. Forces are counted
+  /// and traced in `metrics`, the owning site's registry.
+  static Result<std::unique_ptr<LogManager>> Open(const std::string& dir,
+                                                  SimDisk* disk,
+                                                  bool group_commit,
+                                                  obs::Metrics& metrics);
   ~LogManager();
 
   LogManager(const LogManager&) = delete;
@@ -69,10 +69,6 @@ class LogManager {
   /// prefix), with LSNs filled in. Used by ARIES restart and by tests.
   Result<std::vector<LogRecord>> ReadAllDurable();
 
-  /// Total forced writes issued (Table 4.2 accounting).
-  int64_t num_forces() const { return num_forces_.load(); }
-  void ResetStats() { num_forces_ = 0; }
-
   /// Crash semantics: drop the unflushed tail. (A real crash loses it
   /// implicitly; tests call this to make the loss explicit before reusing
   /// the object.)
@@ -80,7 +76,7 @@ class LogManager {
 
  private:
   LogManager(std::string path, int fd, SimDisk* disk, bool group_commit,
-             uint64_t durable_bytes, SiteId site);
+             uint64_t durable_bytes, obs::Metrics& metrics);
 
   struct PendingRecord {
     Lsn lsn;
@@ -95,12 +91,15 @@ class LogManager {
   /// dropping it would let a later Flush(target) find pending_ empty and
   /// report the lost records as durable.
   void RequeueFailedBatch(std::vector<PendingRecord> batch);
+  /// Counts one force of `records` records that made `flushed` durable
+  /// (wal.forces: the Table 4.2 forced-write count).
+  void RecordForce(size_t records, int64_t start_ns, Lsn flushed);
 
   const std::string path_;
   const int fd_;
   SimDisk* const disk_;
   const bool group_commit_;
-  const SiteId site_;
+  obs::Metrics& metrics_;
 
   std::mutex mu_;
   std::condition_variable flushed_cv_;
@@ -112,7 +111,6 @@ class LogManager {
   std::atomic<Lsn> next_lsn_{1};
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
   std::atomic<Lsn> flushed_lsn_{kInvalidLsn};
-  std::atomic<int64_t> num_forces_{0};
 };
 
 }  // namespace harbor

@@ -14,8 +14,8 @@
 
 #include "core/cluster.h"
 #include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "runtime/scheduler.h"
-#include "obs/observer.h"
 #include "workload/executor.h"
 
 namespace harbor::workload {
@@ -132,20 +132,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kCount: break;
   }
   return "unknown";
-}
-
-obs::HistogramId HistogramIdFor(OpKind kind) {
-  switch (kind) {
-    case OpKind::kInsert: return obs::HistogramId::kWlInsertNs;
-    case OpKind::kUpdate: return obs::HistogramId::kWlUpdateNs;
-    case OpKind::kDelete: return obs::HistogramId::kWlDeleteNs;
-    case OpKind::kSnapshotScan: return obs::HistogramId::kWlSnapshotScanNs;
-    case OpKind::kLockingScan: return obs::HistogramId::kWlLockingScanNs;
-    case OpKind::kHistoricalScan:
-      return obs::HistogramId::kWlHistoricalScanNs;
-    case OpKind::kCount: break;
-  }
-  return obs::HistogramId::kWlInsertNs;
 }
 
 SessionMix TrickleUpdateMix(uint32_t sessions, double ops_per_sec) {
@@ -282,7 +268,6 @@ void RunOp(Session* s, Timestamp historical_ts, int64_t preload_rows,
 
   FateCounts& f = state->fates[static_cast<size_t>(kind)];
   f.attempts.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(0, obs::CounterId::kWlOps);
 
   Result<StatementResult> res = s->executor->Execute(sql);
 
@@ -290,13 +275,11 @@ void RunOp(Session* s, Timestamp historical_ts, int64_t preload_rows,
   const int64_t latency_ns =
       ElapsedNs(run_start, Clock::now()) - arrival_latency_base_ns;
   state->latency[static_cast<size_t>(kind)].Record(latency_ns);
-  obs::Observe(0, HistogramIdFor(kind), latency_ns);
 
   const bool is_scan = kind == OpKind::kSnapshotScan ||
                        kind == OpKind::kLockingScan ||
                        kind == OpKind::kHistoricalScan;
   if (!res.ok()) {
-    obs::Count(0, obs::CounterId::kWlOpFailures);
     if (is_scan && !res.status().IsInvalidArgument()) {
       // A scan refused mid-crash is a clean failure, not a harness bug.
       f.aborted.fetch_add(1, std::memory_order_relaxed);
@@ -335,11 +318,9 @@ void RunOp(Session* s, Timestamp historical_ts, int64_t preload_rows,
       break;
     case TxnFate::kAborted:
       f.aborted.fetch_add(1, std::memory_order_relaxed);
-      obs::Count(0, obs::CounterId::kWlOpFailures);
       break;
     case TxnFate::kUnknown:
       f.unknown.fetch_add(1, std::memory_order_relaxed);
-      obs::Count(0, obs::CounterId::kWlOpFailures);
       if (kind == OpKind::kInsert) {
         m.unknown.insert(id);
       } else if (kind == OpKind::kDelete) {
@@ -435,8 +416,6 @@ void RecoveryThread(Cluster* cluster, const SoakOptions& opt, RunState* state,
         state->recovery_ns.push_back(ns);
       }
       state->recoveries.fetch_add(1, std::memory_order_relaxed);
-      obs::Count(0, obs::CounterId::kWlRecoveries);
-      obs::Observe(0, obs::HistogramId::kWlRecoveryNs, ns);
     }
     // On failure the settle phase recovers the worker.
   }
@@ -518,7 +497,8 @@ Result<SoakReport> WorkloadDriver::Run() {
   if (!opt.chaos.empty()) {
     HARBOR_ASSIGN_OR_RETURN(fault::ChaosSchedule sched,
                             fault::ChaosSchedule::Parse(opt.chaos));
-    injector = std::make_unique<fault::FaultInjector>(std::move(sched));
+    injector = std::make_unique<fault::FaultInjector>(std::move(sched),
+                                                      &cluster->observer());
     injector->RegisterCrashHandler(0, [coord] { coord->Crash(); });
     Cluster* raw = cluster.get();
     for (int i = 0; i < cluster->num_workers(); ++i) {

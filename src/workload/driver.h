@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/protocol.h"
-#include "obs/metrics.h"
 
 namespace harbor::workload {
 
@@ -148,9 +147,6 @@ class WorkloadDriver {
  private:
   SoakOptions options_;
 };
-
-/// The wl.* HistogramId for an operation kind.
-obs::HistogramId HistogramIdFor(OpKind kind);
 
 }  // namespace harbor::workload
 

@@ -45,8 +45,8 @@ class AriesSiteHarness {
                                          PartitionRange::Full(), 2)
                           .status());
     }
-    pool_ = std::make_unique<BufferPool>(fm_.get(), 256);
-    auto log = LogManager::Open(dir_, nullptr, true);
+    pool_ = std::make_unique<BufferPool>(fm_.get(), 256, metrics_);
+    auto log = LogManager::Open(dir_, nullptr, true, metrics_);
     HARBOR_CHECK_OK(log.status());
     log_ = std::move(log).value();
     pool_->set_wal_flush_hook([this](Lsn lsn) { return log_->Flush(lsn); });
@@ -133,13 +133,14 @@ class AriesSiteHarness {
   TxnTable* txns() { return &txns_; }
 
  private:
+  obs::Metrics metrics_;  // declared first: every component uses it
   std::string dir_;
   std::unique_ptr<FileManager> fm_;
   std::unique_ptr<LocalCatalog> catalog_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<LogManager> log_;
   std::unique_ptr<VersionStore> store_;
-  LockManager locks_{std::chrono::milliseconds(200)};
+  LockManager locks_{metrics_, std::chrono::milliseconds(200)};
   TxnTable txns_;
 };
 

@@ -26,22 +26,30 @@ class BufferPoolTest : public ::testing::Test {
       HARBOR_CHECK_OK(fm_.AllocatePage(1).status());
     }
   }
+  int64_t misses() const {
+    return metrics_.counter(obs::CounterId::kBufMisses).value();
+  }
+  int64_t evictions() const {
+    return metrics_.counter(obs::CounterId::kBufEvictions).value();
+  }
+
   FileManager fm_;
+  obs::Metrics metrics_;
 };
 
 TEST_F(BufferPoolTest, HitAfterMiss) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 0}));
     EXPECT_EQ(h.page_id(), (PageId{1, 0}));
   }
-  EXPECT_EQ(pool.misses(), 1);
+  EXPECT_EQ(misses(), 1);
   { ASSERT_OK(pool.GetPage(PageId{1, 0}).status()); }
   EXPECT_EQ(pool.hits(), 1);
 }
 
 TEST_F(BufferPoolTest, DirtyPagesFlushAndSurviveReload) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 3}));
     PageLatchGuard latch(h);
@@ -58,7 +66,7 @@ TEST_F(BufferPoolTest, DirtyPagesFlushAndSurviveReload) {
 }
 
 TEST_F(BufferPoolTest, EvictionWritesDirtyVictimUnderSteal) {
-  BufferPool pool(&fm_, 4, EvictionPolicy::kLru, StealPolicy::kSteal);
+  BufferPool pool(&fm_, 4, metrics_, EvictionPolicy::kLru, StealPolicy::kSteal);
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 0}));
     PageLatchGuard latch(h);
@@ -69,7 +77,7 @@ TEST_F(BufferPoolTest, EvictionWritesDirtyVictimUnderSteal) {
   for (uint32_t p = 1; p <= 8; ++p) {
     ASSERT_OK(pool.GetPage(PageId{1, p}).status());
   }
-  EXPECT_GT(pool.evictions(), 0);
+  EXPECT_GT(evictions(), 0);
   // The dirty page was stolen to disk: direct read sees the change.
   std::vector<uint8_t> raw(kPageSize);
   ASSERT_OK(fm_.ReadPage(PageId{1, 0}, raw.data(), false));
@@ -82,7 +90,7 @@ TEST_F(BufferPoolTest, NoStealNeverEvictsDirty) {
   opts.steal = StealPolicy::kNoSteal;
   opts.victim_attempts = 2;
   opts.victim_wait = std::chrono::milliseconds(10);
-  BufferPool pool(&fm_, 4, opts);
+  BufferPool pool(&fm_, 4, metrics_, opts);
   // Dirty all 4 frames.
   for (uint32_t p = 0; p < 4; ++p) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, p}));
@@ -99,7 +107,7 @@ TEST_F(BufferPoolTest, NoStealNeverEvictsDirty) {
 }
 
 TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
-  BufferPool pool(&fm_, 2);
+  BufferPool pool(&fm_, 2, metrics_);
   ASSERT_OK_AND_ASSIGN(PageHandle pinned, pool.GetPage(PageId{1, 0}));
   ASSERT_OK(pool.GetPage(PageId{1, 1}).status());
   ASSERT_OK(pool.GetPage(PageId{1, 2}).status());  // evicts page 1, not 0
@@ -110,7 +118,7 @@ TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
 }
 
 TEST_F(BufferPoolTest, DiscardAllLosesUnflushedChanges) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 5}));
     PageLatchGuard latch(h);
@@ -123,7 +131,7 @@ TEST_F(BufferPoolTest, DiscardAllLosesUnflushedChanges) {
 }
 
 TEST_F(BufferPoolTest, WalHookForcedBeforeFlush) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   Lsn flushed_up_to = 0;
   pool.set_wal_flush_hook([&](Lsn lsn) -> Status {
     flushed_up_to = lsn;
@@ -141,7 +149,7 @@ TEST_F(BufferPoolTest, WalHookForcedBeforeFlush) {
 }
 
 TEST_F(BufferPoolTest, HeaderHookRunsPerFileBeforeFlush) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   std::vector<uint32_t> synced;
   pool.set_header_sync_hook([&](uint32_t file_id) -> Status {
     synced.push_back(file_id);
@@ -158,7 +166,7 @@ TEST_F(BufferPoolTest, HeaderHookRunsPerFileBeforeFlush) {
 }
 
 TEST_F(BufferPoolTest, RecLsnTracksFirstDirtier) {
-  BufferPool pool(&fm_, 8);
+  BufferPool pool(&fm_, 8, metrics_);
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 6}));
     PageLatchGuard latch(h);
@@ -183,19 +191,19 @@ TEST_F(BufferPoolTest, RecLsnTracksFirstDirtier) {
 TEST_F(BufferPoolTest, ShardCountScalesWithCapacityAndRoundsToPowerOfTwo) {
   // Tiny pools collapse to one shard; big pools cap at 64; an explicit
   // request is rounded up to the next power of two.
-  EXPECT_EQ(BufferPool(&fm_, 4).shard_count(), 1u);
-  EXPECT_EQ(BufferPool(&fm_, 64).shard_count(), 8u);
-  EXPECT_EQ(BufferPool(&fm_, 8192).shard_count(), 64u);
+  EXPECT_EQ(BufferPool(&fm_, 4, metrics_).shard_count(), 1u);
+  EXPECT_EQ(BufferPool(&fm_, 64, metrics_).shard_count(), 8u);
+  EXPECT_EQ(BufferPool(&fm_, 8192, metrics_).shard_count(), 64u);
   BufferPool::Options opts;
   opts.shards = 5;
-  EXPECT_EQ(BufferPool(&fm_, 16, opts).shard_count(), 8u);
+  EXPECT_EQ(BufferPool(&fm_, 16, metrics_, opts).shard_count(), 8u);
 }
 
 TEST_F(BufferPoolTest, SaturationReturnsResourceExhausted) {
   BufferPool::Options opts;
   opts.victim_attempts = 2;
   opts.victim_wait = std::chrono::milliseconds(10);
-  BufferPool pool(&fm_, 2, opts);
+  BufferPool pool(&fm_, 2, metrics_, opts);
   ASSERT_OK_AND_ASSIGN(PageHandle a, pool.GetPage(PageId{1, 0}));
   ASSERT_OK_AND_ASSIGN(PageHandle b, pool.GetPage(PageId{1, 1}));
   // Every frame pinned: the miss exhausts its attempts and reports
@@ -211,7 +219,7 @@ TEST_F(BufferPoolTest, SaturationReturnsResourceExhausted) {
 TEST_F(BufferPoolTest, ParkedMissWakesWhenPinDrops) {
   BufferPool::Options opts;
   opts.victim_wait = std::chrono::milliseconds(2000);
-  BufferPool pool(&fm_, 2, opts);
+  BufferPool pool(&fm_, 2, metrics_, opts);
   ASSERT_OK_AND_ASSIGN(PageHandle a, pool.GetPage(PageId{1, 0}));
   ASSERT_OK_AND_ASSIGN(PageHandle b, pool.GetPage(PageId{1, 1}));
   std::atomic<bool> got{false};
@@ -233,7 +241,7 @@ TEST_F(BufferPoolTest, ParkedMissWakesWhenPinDrops) {
 /// exactly once and all pins were returned.
 TEST_F(BufferPoolTest, ConcurrentScanUpdateCheckpointTraffic) {
   constexpr int kPages = 24;  // > 16 frames: constant eviction traffic
-  BufferPool pool(&fm_, 16);
+  BufferPool pool(&fm_, 16, metrics_);
   std::atomic<int> torn{0};
   std::atomic<int> failures{0};
   std::atomic<int64_t> accesses{0};
@@ -280,13 +288,13 @@ TEST_F(BufferPoolTest, ConcurrentScanUpdateCheckpointTraffic) {
   EXPECT_EQ(failures.load(), 0);
   // Stable accounting: every access was a hit or a miss, never both or
   // neither, and no pin leaked (a leak would strand a frame forever).
-  EXPECT_EQ(pool.hits() + pool.misses(), accesses.load());
+  EXPECT_EQ(pool.hits() + misses(), accesses.load());
   ASSERT_OK(pool.FlushAll());
   EXPECT_TRUE(pool.DirtyPageSnapshot().empty());
 }
 
 TEST_F(BufferPoolTest, ConcurrentReadersShareFrames) {
-  BufferPool pool(&fm_, 16);
+  BufferPool pool(&fm_, 16, metrics_);
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 8; ++t) {
@@ -299,7 +307,7 @@ TEST_F(BufferPoolTest, ConcurrentReadersShareFrames) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_LE(pool.misses(), 16);  // the 8 working pages stay resident
+  EXPECT_LE(misses(), 16);  // the 8 working pages stay resident
 }
 
 }  // namespace

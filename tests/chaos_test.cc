@@ -224,11 +224,6 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
   SCOPED_TRACE("protocol=" + std::string(CommitProtocolToString(protocol)) +
                " schedule=\"" + schedule.ToString() + "\"");
 
-  // Record the protocol timeline (and every fired fault) so a failing
-  // replay prints an ordered event trace instead of a bare assertion.
-  obs::Observer observer;
-  observer.Install();
-
   ClusterOptions opt;
   opt.num_workers = 3;
   opt.protocol = protocol;
@@ -249,7 +244,7 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
   ASSERT_OK_AND_ASSIGN(TableId table, cluster->CreateTable(spec));
   Coordinator* coord = cluster->coordinator();
 
-  FaultInjector injector(schedule);
+  FaultInjector injector(schedule, &cluster->observer());
   injector.RegisterCrashHandler(0, [coord] { coord->Crash(); });
   Cluster* raw = cluster.get();
   for (int i = 0; i < 3; ++i) {
@@ -269,11 +264,12 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
   std::vector<Timestamp> stable_history;
   Random rng(schedule.seed * 0x2545F4914F6CDD1DULL + 1);
 
+  // Record the protocol timeline (and every fired fault) so a failing
+  // replay prints an ordered event trace instead of a bare assertion.
+  // Declared after the cluster: destroyed first, so a failed ASSERT_* on
+  // any path below dumps the merged trace while the cluster still exists.
+  test::TraceDumpOnFailure dump_on_failure(cluster->observer());
   injector.Install();
-  // Declared after the observer: destroyed first, so a failed ASSERT_* on
-  // any path below dumps the merged trace while the observer is still
-  // installed.
-  test::TraceDumpOnFailure dump_on_failure;
 
   // Snapshot readers run through the entire schedule — faults, crashes,
   // settle, recovery — and are joined on every exit path.
@@ -406,13 +402,17 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
   // and the two read modes agree on the final state.
   int64_t acquires_before = 0;
   for (int i = 0; i < 3; ++i) {
-    acquires_before += cluster->worker(i)->locks()->acquires();
+    acquires_before += cluster->worker(i)->metrics()
+                           .counter(obs::CounterId::kLockAcquires)
+                           .value();
   }
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> snap_rows,
                        coord->Query(table, Predicate()));
   int64_t acquires_after = 0;
   for (int i = 0; i < 3; ++i) {
-    acquires_after += cluster->worker(i)->locks()->acquires();
+    acquires_after += cluster->worker(i)->metrics()
+                          .counter(obs::CounterId::kLockAcquires)
+                          .value();
   }
   EXPECT_EQ(acquires_after, acquires_before)
       << "a snapshot query touched a lock manager after recovery";
@@ -463,9 +463,6 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
 // watermark against the *other* buddy — the (insertion_ts, tuple_id) cursor
 // is replica-independent — without duplicating or losing a single tuple.
 TEST(ChaosRecoveryStreamTest, BuddyCrashMidChunkStreamResumesFromWatermark) {
-  obs::Observer observer;
-  observer.Install();
-
   ClusterOptions opt;
   opt.num_workers = 3;
   opt.protocol = CommitProtocol::kOptimized3PC;
@@ -500,12 +497,12 @@ TEST(ChaosRecoveryStreamTest, BuddyCrashMidChunkStreamResumesFromWatermark) {
   p.site = Cluster::WorkerSite(2);
   p.hit = 4;
   sched.points.push_back(p);
-  FaultInjector injector(sched);
+  FaultInjector injector(sched, &cluster->observer());
   Cluster* raw = cluster.get();
   injector.RegisterCrashHandler(Cluster::WorkerSite(2),
                                 [raw] { raw->CrashWorker(1); });
+  test::TraceDumpOnFailure dump_on_failure(cluster->observer());
   injector.Install();
-  test::TraceDumpOnFailure dump_on_failure;
 
   RecoveryOptions ropt;
   ropt.stream_chunk_tuples = 8;
@@ -513,7 +510,7 @@ TEST(ChaosRecoveryStreamTest, BuddyCrashMidChunkStreamResumesFromWatermark) {
   ASSERT_OK(cluster->RecoverWorker(2, ropt).status());
   injector.Uninstall();
 
-  const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(2));
+  const obs::Metrics& m = cluster->worker(2)->metrics();
   EXPECT_GE(m.counter(obs::CounterId::kRecoveryStreamResumes).value(), 1)
       << "the second attempt re-copied the object instead of resuming from "
          "the durable watermark";
@@ -527,9 +524,6 @@ TEST(ChaosRecoveryStreamTest, BuddyCrashMidChunkStreamResumesFromWatermark) {
 }
 
 TEST(ChaosRecoveryStreamTest, ParallelBuddyCrashMidChunkFailsOverAtCursor) {
-  obs::Observer observer;
-  observer.Install();
-
   ClusterOptions opt;
   opt.num_workers = 4;
   opt.protocol = CommitProtocol::kOptimized3PC;
@@ -569,12 +563,12 @@ TEST(ChaosRecoveryStreamTest, ParallelBuddyCrashMidChunkFailsOverAtCursor) {
   p.site = Cluster::WorkerSite(3);
   p.hit = 4;
   sched.points.push_back(p);
-  FaultInjector injector(sched);
+  FaultInjector injector(sched, &cluster->observer());
   Cluster* raw = cluster.get();
   injector.RegisterCrashHandler(Cluster::WorkerSite(3),
                                 [raw] { raw->CrashWorker(1); });
+  test::TraceDumpOnFailure dump_on_failure(cluster->observer());
   injector.Install();
-  test::TraceDumpOnFailure dump_on_failure;
 
   RecoveryOptions ropt;
   ropt.stream_chunk_tuples = 8;
@@ -583,11 +577,11 @@ TEST(ChaosRecoveryStreamTest, ParallelBuddyCrashMidChunkFailsOverAtCursor) {
   ASSERT_OK(cluster->RecoverWorker(3, ropt).status());
   injector.Uninstall();
 
-  const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(3));
+  const obs::Metrics& m = cluster->worker(3)->metrics();
   EXPECT_GE(m.counter(obs::CounterId::kRecoveryStreamFailovers).value(), 1)
       << "the dead buddy's stream did not fail over to another replica";
   int attempts = 0;
-  for (const obs::TraceEvent& e : observer.MergedTrace()) {
+  for (const obs::TraceEvent& e : cluster->observer().MergedTrace()) {
     if (std::string(e.kind) == "recovery.begin") ++attempts;
   }
   EXPECT_EQ(attempts, 1)

@@ -112,7 +112,11 @@ TEST_P(AllProtocolsTest, CommitMakesDataVisibleOnAllReplicas) {
       EXPECT_EQ(t.deletion_ts(), kNotDeleted);
     }
   }
-  EXPECT_EQ(coord->committed(), 1);
+  EXPECT_EQ(cluster->observer()
+                .MetricsFor(coord->site_id())
+                .counter(obs::CounterId::kTxnCommitted)
+                .value(),
+            1);
 }
 
 TEST_P(AllProtocolsTest, AbortRollsBackEverywhere) {
@@ -144,7 +148,11 @@ TEST_P(AllProtocolsTest, NoVoteAbortsTransaction) {
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows,
                        coord->Query(table, Predicate::True()));
   EXPECT_TRUE(rows.empty());
-  EXPECT_EQ(coord->aborted(), 1);
+  EXPECT_EQ(cluster->observer()
+                .MetricsFor(coord->site_id())
+                .counter(obs::CounterId::kTxnAborted)
+                .value(),
+            1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -198,8 +198,8 @@ class VectorScanTest : public ::testing::Test {
   VectorScanTest()
       : fm_(MakeTempDir("vscan"), nullptr),
         catalog_(&fm_),
-        pool_(&fm_, 512),
-        locks_(std::chrono::milliseconds(200)),
+        pool_(&fm_, 512, metrics_),
+        locks_(metrics_, std::chrono::milliseconds(200)),
         store_(&catalog_, &pool_, &locks_, nullptr, &txns_) {
     auto obj = catalog_.CreateObject(1, 1, "t", SmallSchema(),
                                      PartitionRange::Full(), 4,
@@ -243,6 +243,7 @@ class VectorScanTest : public ::testing::Test {
     return std::move(*cols);
   }
 
+  obs::Metrics metrics_;  // declared first: the pool and locks use it
   FileManager fm_;
   LocalCatalog catalog_;
   BufferPool pool_;

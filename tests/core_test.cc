@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "core/checkpoint_file.h"
 #include "core/global_catalog.h"
 #include "core/liveness.h"
@@ -448,7 +452,7 @@ TEST(CheckpointFileTest, StreamResumeRoundTrip) {
   EXPECT_EQ(back.ResumeFor(4), nullptr);
 
   // An object checkpoint means the interrupted round completed: rewriting
-  // without the watermarks durably drops them AND returns to the V1 format.
+  // without the watermarks durably drops them.
   back.resume.erase(3);
   ASSERT_OK(WriteCheckpointRecord(dir, back));
   ASSERT_OK_AND_ASSIGN(CheckpointRecord clean, ReadCheckpointRecord(dir));
@@ -456,53 +460,54 @@ TEST(CheckpointFileTest, StreamResumeRoundTrip) {
   EXPECT_EQ(clean.TimeFor(3), 25u);
 }
 
-TEST(CheckpointFileTest, UpgradesV2SingleStreamFilesToV3) {
-  // A V2 file (single watermark per object, no stream/window fields) written
-  // by an older build must read as a stream-0 watermark over the whole round
-  // range, and the next write must round-trip it through the V3 format.
-  std::string dir = MakeTempDir("ckpt5");
-  ByteBufferWriter out;
-  out.WriteU32(0x48524b32);  // "HRK2"
-  out.WriteU64(10);          // global_time
-  out.WriteU32(1);           // per-object entries
-  out.WriteU32(3);
-  out.WriteU64(25);
-  out.WriteU32(1);  // resume entries
-  out.WriteU32(3);
-  out.WriteU64(40);   // round_hwm
-  out.WriteU64(33);   // insertion_ts
-  out.WriteU64(777);  // tuple_id
-  {
-    std::string path = dir + "/checkpoint.meta";
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(out.data().data(), 1, out.size(), f), out.size());
-    std::fclose(f);
-  }
-  ASSERT_OK_AND_ASSIGN(CheckpointRecord rec, ReadCheckpointRecord(dir));
-  EXPECT_EQ(rec.global_time, 10u);
-  EXPECT_EQ(rec.TimeFor(3), 25u);
-  ASSERT_NE(rec.ResumeFor(3), nullptr);
-  ASSERT_EQ(rec.ResumeFor(3)->size(), 1u);
-  // stream_index 0 and window bounds (0, 0] = "whole round range".
-  EXPECT_EQ((*rec.ResumeFor(3))[0], (StreamResume{40, 33, 777, 0, 0, 0}));
-
-  ASSERT_OK(WriteCheckpointRecord(dir, rec));  // upgrade on next write
-  ASSERT_OK_AND_ASSIGN(CheckpointRecord v3, ReadCheckpointRecord(dir));
-  ASSERT_NE(v3.ResumeFor(3), nullptr);
-  EXPECT_EQ(*v3.ResumeFor(3), *rec.ResumeFor(3));
-}
-
-TEST(CheckpointFileTest, ReadsV1FilesWrittenWithoutResumeSection) {
-  // A record with no watermarks must stay byte-identical to the pre-resume
-  // format (older builds read the files a normally-running site writes).
+TEST(CheckpointFileTest, WritesEmptyResumeSection) {
+  // One layout for every record: with no watermarks the resume section is
+  // just its zero object count.
   std::string dir = MakeTempDir("ckpt4");
   CheckpointRecord rec;
   rec.global_time = 5;
   ASSERT_OK(WriteCheckpointRecord(dir, rec));
+  EXPECT_EQ(std::filesystem::file_size(dir + "/checkpoint.meta"),
+            4u + 8u + 4u + 4u);  // magic, global time, two zero counts
   ASSERT_OK_AND_ASSIGN(CheckpointRecord back, ReadCheckpointRecord(dir));
   EXPECT_EQ(back.global_time, 5u);
   EXPECT_TRUE(back.resume.empty());
+}
+
+TEST(CheckpointFileTest, RejectsLegacyMagicAndTrailingBytes) {
+  std::string dir = MakeTempDir("ckpt5");
+  const std::string path = dir + "/checkpoint.meta";
+  auto write_file = [&](const std::vector<uint8_t>& bytes) {
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  };
+  // A record in the old watermark-free "HRKP" layout.
+  ByteBufferWriter legacy;
+  legacy.WriteU32(0x48524b50);
+  legacy.WriteU64(10);
+  legacy.WriteU32(0);
+  write_file(legacy.data());
+  EXPECT_TRUE(ReadCheckpointRecord(dir).status().IsCorruption());
+
+  CheckpointRecord rec;
+  rec.global_time = 10;
+  rec.resume[3].push_back(StreamResume{40, 33, 777, 0, 25, 32});
+  ASSERT_OK(WriteCheckpointRecord(dir, rec));
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> good((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::vector<uint8_t> trailing = good;
+  trailing.push_back(0);
+  write_file(trailing);
+  EXPECT_TRUE(ReadCheckpointRecord(dir).status().IsCorruption());
+  std::vector<uint8_t> truncated(good.begin(), good.end() - 1);
+  write_file(truncated);
+  EXPECT_TRUE(ReadCheckpointRecord(dir).status().IsCorruption());
+  write_file(good);
+  ASSERT_OK_AND_ASSIGN(CheckpointRecord back, ReadCheckpointRecord(dir));
+  EXPECT_EQ(*back.ResumeFor(3), *rec.ResumeFor(3));
 }
 
 // ------------------------------------------------------------- liveness

@@ -90,8 +90,8 @@ class ExecTest : public ::testing::Test {
   ExecTest()
       : fm_(MakeTempDir("exec"), nullptr),
         catalog_(&fm_),
-        pool_(&fm_, 512),
-        locks_(std::chrono::milliseconds(200)),
+        pool_(&fm_, 512, metrics_),
+        locks_(metrics_, std::chrono::milliseconds(200)),
         store_(&catalog_, &pool_, &locks_, nullptr, &txns_) {
     auto obj = catalog_.CreateObject(1, 1, "t", SmallSchema(),
                                      PartitionRange::Full(), 2);
@@ -123,6 +123,7 @@ class ExecTest : public ::testing::Test {
     return std::move(*keys);
   }
 
+  obs::Metrics metrics_;  // declared first: the pool and locks use it
   FileManager fm_;
   LocalCatalog catalog_;
   BufferPool pool_;

@@ -36,10 +36,11 @@ TEST(OnePhaseCommitTest, CommitsWithTwoMessagesPerWorker) {
 
   ASSERT_OK_AND_ASSIGN(TxnId txn, coord->Begin());
   ASSERT_OK(coord->Insert(txn, table, SmallRow(1, 1, "x")));
-  const int64_t msgs_before = cluster->network()->num_messages();
+  obs::Observer& o = cluster->observer();
+  const int64_t msgs_before = o.Total(obs::CounterId::kNetMessagesSent);
   ASSERT_OK(coord->Commit(txn));
   // COMMIT + ACK per worker, nothing else — half of even optimized 2PC.
-  EXPECT_EQ((cluster->network()->num_messages() - msgs_before) / 2, 2);
+  EXPECT_EQ((o.Total(obs::CounterId::kNetMessagesSent) - msgs_before) / 2, 2);
   // No logs anywhere.
   EXPECT_EQ(coord->log(), nullptr);
   EXPECT_EQ(cluster->worker(0)->log(), nullptr);

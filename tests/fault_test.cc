@@ -255,10 +255,10 @@ std::set<int64_t> VisibleIds(Cluster* cluster, int w, Timestamp as_of) {
 }
 
 struct MatrixRig {
-  // Observer first / guard last: members destroy in reverse order, so on a
-  // failed assertion the guard dumps the merged trace while the observer
-  // (and the events recorded during the crash protocol) are still alive.
-  std::unique_ptr<obs::Observer> observer;
+  // Cluster first / guard last: members destroy in reverse order, so on a
+  // failed assertion the guard dumps the cluster's merged trace while the
+  // cluster (and the events recorded during the crash protocol) are still
+  // alive.
   std::unique_ptr<Cluster> cluster;
   TableId table = 0;
   std::unique_ptr<test::TraceDumpOnFailure> dump_on_failure;
@@ -266,9 +266,6 @@ struct MatrixRig {
 
 MatrixRig MakeMatrixRig(CommitProtocol protocol) {
   MatrixRig rig;
-  rig.observer = std::make_unique<obs::Observer>();
-  rig.observer->Install();
-  rig.dump_on_failure = std::make_unique<test::TraceDumpOnFailure>();
   ClusterOptions opt;
   opt.num_workers = 2;
   opt.protocol = protocol;
@@ -276,6 +273,8 @@ MatrixRig MakeMatrixRig(CommitProtocol protocol) {
   auto cluster = Cluster::Create(opt);
   HARBOR_CHECK_OK(cluster.status());
   rig.cluster = std::move(*cluster);
+  rig.dump_on_failure =
+      std::make_unique<test::TraceDumpOnFailure>(rig.cluster->observer());
   TableSpec spec;
   spec.name = "t";
   spec.schema = SmallSchema();
@@ -318,7 +317,8 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePendingAborts) {
   // Workers have executed the update but seen no PREPARE: no site can have
   // voted, so the consensus protocol must abort (Table 4.1, row "pending").
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized3PC);
-  FaultInjector fi(CoordinatorCrashAt("coordinator.commit.begin"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.commit.begin"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -335,7 +335,8 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePreparedAborts) {
   // coordinator cannot have sent any COMMIT, so abort is safe and required
   // (Table 4.1, row "prepared").
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized3PC);
-  FaultInjector fi(CoordinatorCrashAt("coordinator.after_prepare"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.after_prepare"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -351,7 +352,8 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePreparedToCommitCommits) {
   // its commit point, so the backup coordinator must commit (Table 4.1,
   // row "prepared-to-commit") — with the same commit time everywhere.
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized3PC);
-  FaultInjector fi(CoordinatorCrashAt("coordinator.3pc.after_ptc"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.3pc.after_ptc"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -375,7 +377,7 @@ TEST(CoordinatorCrashMatrixTest, ThreePhaseMixedCommitStateCommits) {
   drop.action = FaultAction::kDrop;
   drop.max_fires = 1;
   sched.links.push_back(drop);
-  FaultInjector fi(sched);
+  FaultInjector fi(sched, &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -389,7 +391,8 @@ TEST(CoordinatorCrashMatrixTest, ThreePhaseMixedCommitStateCommits) {
 TEST(CoordinatorCrashMatrixTest, TwoPhasePendingAborts) {
   // 2PC, no PREPARE seen: workers abort unilaterally (presumed abort).
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized2PC);
-  FaultInjector fi(CoordinatorCrashAt("coordinator.commit.begin"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.commit.begin"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -406,8 +409,8 @@ TEST(CoordinatorCrashMatrixTest, TwoPhasePreparedBlocksUntilRestart) {
   // abort (the decision may be durable) and cannot commit (it may not be) —
   // they block until the coordinator restarts and re-delivers the outcome.
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized2PC);
-  FaultInjector fi(
-      CoordinatorCrashAt("coordinator.2pc.after_decision_logged"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.2pc.after_decision_logged"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -431,7 +434,8 @@ TEST(CoordinatorCrashMatrixTest, TwoPhaseCommittedSurvivesRestart) {
   // ACKs: the data is already durable at the workers and the restarted
   // coordinator's re-delivery must be idempotent.
   MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized2PC);
-  FaultInjector fi(CoordinatorCrashAt("coordinator.2pc.after_commit_send"));
+  FaultInjector fi(CoordinatorCrashAt("coordinator.2pc.after_commit_send"),
+                   &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -447,8 +451,7 @@ TEST(CoordinatorCrashMatrixTest, TwoPhaseCommittedSurvivesRestart) {
 // -------------------------------------------- §5.5: failures DURING recovery
 
 struct RecoveryRig {
-  std::unique_ptr<obs::Observer> observer;  // see MatrixRig on member order
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<Cluster> cluster;  // see MatrixRig on member order
   TableId table = 0;
   std::unique_ptr<test::TraceDumpOnFailure> dump_on_failure;
 };
@@ -457,9 +460,6 @@ struct RecoveryRig {
 // committed while worker 0 is down (so its recovery has real work to do).
 RecoveryRig MakeRecoveryRig() {
   RecoveryRig rig;
-  rig.observer = std::make_unique<obs::Observer>();
-  rig.observer->Install();
-  rig.dump_on_failure = std::make_unique<test::TraceDumpOnFailure>();
   ClusterOptions opt;
   opt.num_workers = 3;
   opt.protocol = CommitProtocol::kOptimized3PC;
@@ -467,6 +467,8 @@ RecoveryRig MakeRecoveryRig() {
   auto cluster = Cluster::Create(opt);
   HARBOR_CHECK_OK(cluster.status());
   rig.cluster = std::move(*cluster);
+  rig.dump_on_failure =
+      std::make_unique<test::TraceDumpOnFailure>(rig.cluster->observer());
   TableSpec spec;
   spec.name = "t";
   spec.schema = SmallSchema();
@@ -506,7 +508,7 @@ TEST(RecoveryFaultTest, BuddyCrashMidPhase2RetriesWithOtherBuddy) {
   PointFault p;
   p.point = "worker.scan";  // first recovery scan kills the serving buddy
   sched.points.push_back(p);
-  FaultInjector fi(sched);
+  FaultInjector fi(sched, &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   fi.Install();
   RecoveryOptions ropt;
@@ -531,7 +533,7 @@ TEST(RecoveryFaultTest, RecoveringSiteCrashMidPhase3ReleasesBuddyLocks) {
   p.point = "recovery.phase3.locks_held";
   p.site = 1;  // the recovering site
   sched.points.push_back(p);
-  FaultInjector fi(sched);
+  FaultInjector fi(sched, &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   fi.Install();
   Status st = rig.cluster->RecoverWorker(0).status();
@@ -563,7 +565,7 @@ TEST(RecoveryFaultTest, CrashAfterPhase2CheckpointResumesFromIt) {
   p.point = "recovery.phase2.after_checkpoint";
   p.site = 1;
   sched.points.push_back(p);
-  FaultInjector fi(sched);
+  FaultInjector fi(sched, &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   fi.Install();
   Status st = rig.cluster->RecoverWorker(0).status();
@@ -588,7 +590,7 @@ TEST(RecoveryFaultTest, ComingOnlineErrorIsRetriedWithinRecover) {
   p.site = 1;
   p.action = FaultAction::kError;
   sched.points.push_back(p);
-  FaultInjector fi(sched);
+  FaultInjector fi(sched, &rig.cluster->observer());
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   fi.Install();
   Status st = rig.cluster->RecoverWorker(0).status();

@@ -17,8 +17,10 @@ namespace {
 constexpr PageId kPage{1, 7};
 constexpr ObjectId kObject = 42;
 
+obs::Metrics metrics;  // shared by every test's manager; no test reads it
+
 TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kShared));
   ASSERT_OK(lm.AcquirePageLock(2, kPage, LockMode::kShared));
   EXPECT_TRUE(lm.HasPageAccess(1, kPage, LockMode::kShared));
@@ -27,21 +29,21 @@ TEST(LockManagerTest, SharedLocksCoexist) {
 }
 
 TEST(LockManagerTest, ExclusiveBlocksOthers) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kExclusive));
   EXPECT_TRUE(lm.AcquirePageLock(2, kPage, LockMode::kShared).IsTimedOut());
   EXPECT_TRUE(lm.AcquirePageLock(2, kPage, LockMode::kExclusive).IsTimedOut());
 }
 
 TEST(LockManagerTest, UpgradeWhenSoleHolder) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kShared));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kExclusive));
   EXPECT_TRUE(lm.HasPageAccess(1, kPage, LockMode::kExclusive));
 }
 
 TEST(LockManagerTest, UpgradeBlockedByOtherReader) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kShared));
   ASSERT_OK(lm.AcquirePageLock(2, kPage, LockMode::kShared));
   EXPECT_TRUE(lm.AcquirePageLock(1, kPage, LockMode::kExclusive).IsTimedOut());
@@ -51,7 +53,7 @@ TEST(LockManagerTest, UpgradeBlockedByOtherReader) {
 }
 
 TEST(LockManagerTest, ReleaseAllWakesWaiters) {
-  LockManager lm(std::chrono::milliseconds(2000));
+  LockManager lm(metrics, std::chrono::milliseconds(2000));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kExclusive));
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
@@ -68,7 +70,7 @@ TEST(LockManagerTest, ReleaseAllWakesWaiters) {
 TEST(LockManagerTest, DeadlockResolvedByTimeout) {
   // Classic two-transaction deadlock: T1 holds A wants B; T2 holds B wants
   // A. The timeout mechanism (§6.1.2) victimizes at least one.
-  LockManager lm(std::chrono::milliseconds(100));
+  LockManager lm(metrics, std::chrono::milliseconds(100));
   PageId a{1, 1}, b{1, 2};
   ASSERT_OK(lm.AcquirePageLock(1, a, LockMode::kExclusive));
   ASSERT_OK(lm.AcquirePageLock(2, b, LockMode::kExclusive));
@@ -91,7 +93,7 @@ TEST(LockManagerTest, DeadlockResolvedByTimeout) {
 }
 
 TEST(LockManagerTest, IntentionModesFollowMatrix) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   // IX + IX compatible; IX + S incompatible; IS + S compatible.
   ASSERT_OK(lm.AcquireTableLock(1, kObject, LockMode::kIntentionExclusive));
   ASSERT_OK(lm.AcquireTableLock(2, kObject, LockMode::kIntentionExclusive));
@@ -107,7 +109,7 @@ TEST(LockManagerTest, IntentionModesFollowMatrix) {
 }
 
 TEST(LockManagerTest, RecoveryOwnerLocksCanBeOverridden) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   const LockOwnerId recovery = MakeRecoveryOwner(3);
   ASSERT_OK(lm.AcquireTableLock(recovery, kObject, LockMode::kShared));
   EXPECT_TRUE(lm.AcquireTableLock(1, kObject, LockMode::kIntentionExclusive)
@@ -118,7 +120,7 @@ TEST(LockManagerTest, RecoveryOwnerLocksCanBeOverridden) {
 }
 
 TEST(LockManagerTest, FifoPreventsWriterStarvation) {
-  LockManager lm(std::chrono::milliseconds(2000));
+  LockManager lm(metrics, std::chrono::milliseconds(2000));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kShared));
 
   std::atomic<bool> writer_granted{false};
@@ -146,7 +148,7 @@ TEST(LockManagerTest, FifoPreventsWriterStarvation) {
 }
 
 TEST(LockManagerTest, ShutdownFailsWaitersAndNewRequests) {
-  LockManager lm(std::chrono::milliseconds(5000));
+  LockManager lm(metrics, std::chrono::milliseconds(5000));
   ASSERT_OK(lm.AcquirePageLock(1, kPage, LockMode::kExclusive));
   std::atomic<bool> unavailable{false};
   std::thread waiter([&] {
@@ -162,7 +164,7 @@ TEST(LockManagerTest, ShutdownFailsWaitersAndNewRequests) {
 }
 
 TEST(LockManagerTest, ReleaseTableLockIsSelective) {
-  LockManager lm(std::chrono::milliseconds(50));
+  LockManager lm(metrics, std::chrono::milliseconds(50));
   ASSERT_OK(lm.AcquireTableLock(1, 10, LockMode::kShared));
   ASSERT_OK(lm.AcquireTableLock(1, 11, LockMode::kShared));
   lm.ReleaseTableLock(1, 10);
@@ -173,7 +175,7 @@ TEST(LockManagerTest, ReleaseTableLockIsSelective) {
 }
 
 TEST(LockManagerTest, ManyConcurrentOwnersOnDisjointPages) {
-  LockManager lm(std::chrono::milliseconds(500));
+  LockManager lm(metrics, std::chrono::milliseconds(500));
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 8; ++t) {
@@ -199,7 +201,7 @@ TEST(LockManagerTest, ManyConcurrentOwnersOnDisjointPages) {
 // with the atomic member it is clean. Conflicting lock requests force the
 // acquire path onto the deadline computation while the timeout keeps moving.
 TEST(LockManagerTest, SetDefaultTimeoutRacesWithAcquire) {
-  LockManager lm(std::chrono::milliseconds(5));
+  LockManager lm(metrics, std::chrono::milliseconds(5));
   std::atomic<bool> stop{false};
   std::thread tuner([&] {
     int64_t ms = 1;

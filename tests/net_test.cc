@@ -152,10 +152,15 @@ TEST(NetworkTest, MessageStatsAccumulate) {
   ASSERT_OK(net.RegisterSite(1, [](SiteId, const Message& m) {
     return Result<Message>(m);
   }, 1));
-  int64_t before = net.num_messages();
+  obs::Observer& o = net.observer();
+  const int64_t before = o.Total(obs::CounterId::kNetMessagesSent);
   ASSERT_OK(net.Call(0, 1, Ping(1, 1)).status());
-  // One request + one reply.
-  EXPECT_EQ(net.num_messages() - before, 2);
+  // One request (charged to site 0) + one reply (charged to site 1).
+  EXPECT_EQ(o.Total(obs::CounterId::kNetMessagesSent) - before, 2);
+  EXPECT_EQ(o.MetricsFor(0).counter(obs::CounterId::kNetMessagesSent).value(),
+            1);
+  EXPECT_EQ(o.MetricsFor(1).counter(obs::CounterId::kNetMessagesSent).value(),
+            1);
 }
 
 // Regression test for the crash drain path: a CrashSite racing with another
@@ -418,7 +423,8 @@ TEST(NetworkTest, LinkFaultsActTheSameOnBothPaths) {
     Result<Message> r = async ? net.CallAsync(0, 1, Ping(1, 1))->get()
                               : net.Call(0, 1, Ping(1, 1));
     injector.Uninstall();
-    return Outcome{r.ok(), handled.load(), net.num_messages()};
+    return Outcome{r.ok(), handled.load(),
+                   net.observer().Total(obs::CounterId::kNetMessagesSent)};
   };
   const std::vector<std::pair<std::string, Outcome>> cases = {
       {"link=0->1,action=drop,max=1", {false, 0, 0}},

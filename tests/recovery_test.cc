@@ -396,9 +396,9 @@ TEST(HarborRecoveryTest, RecoveringBuddyIsNotAValidCoverSource) {
 // recovery must give up after RecoveryOptions::max_attempts whole-recovery
 // attempts with kUnavailable naming the object — not retry forever.
 TEST(HarborRecoveryTest, ExhaustedRetriesNameTheUncoverableObject) {
-  obs::Observer observer;
-  observer.Install();
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC, 2);
+  obs::Observer& observer = cluster->observer();
+  observer.EnableTrace();
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   ASSERT_OK(cluster->coordinator()->InsertTxn(table, SmallRow(1, 1, "x")));
   cluster->AdvanceEpoch();
@@ -415,7 +415,6 @@ TEST(HarborRecoveryTest, ExhaustedRetriesNameTheUncoverableObject) {
             std::string::npos)
       << stats.status().message();
   EXPECT_LE(RecoveryAttempts(&observer), opt.max_attempts);
-  observer.Uninstall();
 }
 
 // --------------------------------------------------------------- ARIES
@@ -601,10 +600,9 @@ TEST(ConsensusTest, CrashedRecoveringSiteLocksAreReleased) {
 // Counts "recovery.begin" events in the merged trace — one per top-level
 // recovery attempt (§5.5.2 restarts bump it; same-attempt retries do not).
 TEST(RecoveryStreamTest, ChunkedCatchUpBoundsReplySizes) {
-  obs::Observer observer;
-  observer.Install();
-  test::TraceDumpOnFailure dump_on_failure;
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -640,16 +638,14 @@ TEST(RecoveryStreamTest, ChunkedCatchUpBoundsReplySizes) {
   EXPECT_LT(bytes.max() * 4, bytes.sum())
       << "one reply carried most of the transfer; chunking is not bounding "
          "peak reply size";
-  observer.Uninstall();
 }
 
 // A trickle-loaded delta gives every row its own commit timestamp. The
 // buddy must still fill each chunk instead of shipping one row per round
 // trip, or a recovering site falls behind writers that commit quickly.
 TEST(RecoveryStreamTest, TrickleDeltaShipsFullChunks) {
-  obs::Observer observer;
-  observer.Install();
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+  obs::Observer& observer = cluster->observer();
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
   ASSERT_OK(coord->InsertTxn(table, SmallRow(0, 0, "base")));
@@ -675,7 +671,6 @@ TEST(RecoveryStreamTest, TrickleDeltaShipsFullChunks) {
                 .counter(obs::CounterId::kRecoveryChunks)
                 .value(),
             20);
-  observer.Uninstall();
 }
 
 // StreamScan's request for chunk N+1 must reach the buddy before chunk N's
@@ -706,7 +701,8 @@ TEST(RecoveryStreamTest, NextChunkIsRequestedBeforeApplyReturns) {
   scan.minimal_projection = true;
   int applied = 0;
   bool prefetched = false;
-  ASSERT_OK(StreamScan(&net, /*self=*/1, /*buddy=*/2, scan,
+  obs::Metrics metrics;
+  ASSERT_OK(StreamScan(&net, metrics, /*self=*/1, /*buddy=*/2, scan,
                        /*chunk_tuples=*/1, [&](ScanReplyMsg&) {
     if (applied++ == 0) {
       std::unique_lock<std::mutex> lock(mu);
@@ -721,10 +717,9 @@ TEST(RecoveryStreamTest, NextChunkIsRequestedBeforeApplyReturns) {
 }
 
 TEST(RecoveryStreamTest, MonolithicPathStillSupported) {
-  obs::Observer observer;
-  observer.Install();
-  test::TraceDumpOnFailure dump_on_failure;
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -747,14 +742,12 @@ TEST(RecoveryStreamTest, MonolithicPathStillSupported) {
   ExpectReplicasEqual(cluster.get(), cluster->authority()->StableTime());
   const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(1));
   EXPECT_EQ(m.counter(obs::CounterId::kRecoveryChunks).value(), 0);
-  observer.Uninstall();
 }
 
 TEST(RecoveryStreamTest, ResumesFromDurableWatermarkAfterMidStreamFailure) {
-  obs::Observer observer;
-  observer.Install();
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
-  test::TraceDumpOnFailure dump_on_failure;
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -780,7 +773,7 @@ TEST(RecoveryStreamTest, ResumesFromDurableWatermarkAfterMidStreamFailure) {
   p.hit = 5;
   p.action = fault::FaultAction::kError;
   sched.points.push_back(p);
-  fault::FaultInjector injector(std::move(sched));
+  fault::FaultInjector injector(std::move(sched), &observer);
   injector.Install();
 
   RecoveryOptions opt;
@@ -802,14 +795,12 @@ TEST(RecoveryStreamTest, ResumesFromDurableWatermarkAfterMidStreamFailure) {
                        coord->Query(table, Predicate::True()));
   EXPECT_EQ(rows.size(), 130u);
   (void)stats;
-  observer.Uninstall();
 }
 
 TEST(RecoveryStreamTest, ParallelStreamsSplitTheRoundAcrossBuddies) {
-  obs::Observer observer;
-  observer.Install();
-  test::TraceDumpOnFailure dump_on_failure;
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC, 4);
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -858,7 +849,6 @@ TEST(RecoveryStreamTest, ParallelStreamsSplitTheRoundAcrossBuddies) {
   }
   EXPECT_GE(serving_buddies, 2)
       << "all phase-2 windows streamed from a single buddy";
-  observer.Uninstall();
 }
 
 // A §4.2 bulk-loaded delta shares one insertion timestamp, so no
@@ -869,10 +859,9 @@ TEST(RecoveryStreamTest, ParallelStreamsSplitTheRoundAcrossBuddies) {
 // image on any site — the catch-up reads system headers from row pages and
 // materializes only the rows it ships.
 TEST(RecoveryStreamTest, OneTimestampBulkDeltaStreamsKeyFirst) {
-  obs::Observer observer;
-  observer.Install();
-  test::TraceDumpOnFailure dump_on_failure;
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC, 3);
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   Coordinator* coord = cluster->coordinator();
   constexpr size_t kChunk = 16;
   constexpr int kBase = 200;
@@ -969,7 +958,6 @@ TEST(RecoveryStreamTest, OneTimestampBulkDeltaStreamsKeyFirst) {
                   .size(),
               static_cast<size_t>(kBase + kDelta - kDeleted));
   }
-  observer.Uninstall();
 }
 
 // ------------------------------------------------- satellite regressions
@@ -979,10 +967,9 @@ TEST(RecoveryStreamTest, OneTimestampBulkDeltaStreamsKeyFirst) {
 // recomputes covers against current liveness instead of re-Calling the dead
 // site until the whole attempt is abandoned.
 TEST(HarborRecoveryTest, Phase3RecomputesCoverWhenBuddyDiesBeforeLocks) {
-  obs::Observer observer;
-  observer.Install();
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC, /*workers=*/3);
-  test::TraceDumpOnFailure dump_on_failure;
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -1006,7 +993,7 @@ TEST(HarborRecoveryTest, Phase3RecomputesCoverWhenBuddyDiesBeforeLocks) {
   p.point = "recovery.phase3.cover_computed";
   p.site = Cluster::WorkerSite(2);
   sched.points.push_back(p);
-  fault::FaultInjector injector(std::move(sched));
+  fault::FaultInjector injector(std::move(sched), &observer);
   Cluster* raw = cluster.get();
   injector.RegisterCrashHandler(Cluster::WorkerSite(2),
                                 [raw] { raw->CrashWorker(1); });
@@ -1027,7 +1014,6 @@ TEST(HarborRecoveryTest, Phase3RecomputesCoverWhenBuddyDiesBeforeLocks) {
   for (size_t j = 0; j < reference.size(); ++j) {
     EXPECT_EQ(reference[j], recovered[j]) << "row " << j;
   }
-  observer.Uninstall();
 }
 
 // A tuple bulk-loaded with insertion time 0 used to make the Phase 2/3
@@ -1081,10 +1067,9 @@ TEST(HarborRecoveryTest, RecoversDeletionOfInsertionTimeZeroTuple) {
 // Phase 2's FlushAll + forced object-checkpoint write for a round that
 // copied nothing.
 TEST(HarborRecoveryTest, NoProgressRecoverySkipsPhase2CheckpointWrites) {
-  obs::Observer observer;
-  observer.Install();
-  test::TraceDumpOnFailure dump_on_failure;
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+  obs::Observer& observer = cluster->observer();
+  test::TraceDumpOnFailure dump_on_failure(observer);
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
 
@@ -1112,7 +1097,6 @@ TEST(HarborRecoveryTest, NoProgressRecoverySkipsPhase2CheckpointWrites) {
 
   cluster->AdvanceEpoch();
   ExpectReplicasEqual(cluster.get(), cluster->authority()->StableTime());
-  observer.Uninstall();
 }
 
 // Aggregate phase timings must respect how the objects actually ran:

@@ -47,23 +47,24 @@ TEST(SimDeviceTest, ConcurrentChargesSerialize) {
 TEST(SimDiskTest, CostModelShapes) {
   SimConfig cfg;
   cfg.enable_latency = false;
-  SimDisk disk("d", cfg);
+  obs::Metrics m;
+  SimDisk disk("d", cfg, m);
   disk.ChargeSequentialRead(4096);
   disk.ChargeRandomRead(4096);
   disk.ChargeWrite(4096);
   disk.ChargeForcedWrite(100);
-  EXPECT_EQ(disk.num_reads(), 2);
-  EXPECT_EQ(disk.num_writes(), 1);
-  EXPECT_EQ(disk.num_forced_writes(), 1);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskReads).value(), 2);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskWrites).value(), 1);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskForcedWrites).value(), 1);
+  EXPECT_EQ(m.histogram(obs::HistogramId::kDiskForceNs).count(), 1);
   // Forced write dominates: it includes the seek+rotation latency.
   EXPECT_GT(disk.total_busy_ns(), cfg.disk_force_latency_ns);
-  disk.ResetStats();
-  EXPECT_EQ(disk.num_reads(), 0);
 }
 
 TEST(SimDiskTest, ForcedWriteCostsMoreThanSequential) {
   SimConfig cfg;  // latencies on
-  SimDisk disk("d", cfg);
+  obs::Metrics m;
+  SimDisk disk("d", cfg, m);
   // Minimum over a few trials: a deschedule between starting the stopwatch
   // and finishing the charge inflates one wall-clock sample arbitrarily
   // when the test box is loaded (ctest -j), but cannot deflate it below
@@ -83,11 +84,18 @@ TEST(SimDiskTest, ForcedWriteCostsMoreThanSequential) {
 
 TEST(SimNetworkTest, CountsMessagesAndBytes) {
   SimConfig cfg = SimConfig::Zero();
-  SimNetwork net(cfg);
+  obs::Observer o;
+  SimNetwork net(cfg, o);
   net.ChargeMessage(1, 100);
   net.ChargeMessage(2, 400);
-  EXPECT_EQ(net.num_messages(), 2);
-  EXPECT_EQ(net.num_bytes(), 500);
+  net.ChargeMessage(2, 100);
+  // Each message is charged to its sender.
+  EXPECT_EQ(o.Total(obs::CounterId::kNetMessagesSent), 3);
+  EXPECT_EQ(o.Total(obs::CounterId::kNetBytesSent), 600);
+  EXPECT_EQ(o.MetricsFor(2).counter(obs::CounterId::kNetMessagesSent).value(),
+            2);
+  EXPECT_EQ(o.MetricsFor(1).counter(obs::CounterId::kNetBytesSent).value(),
+            100);
 }
 
 TEST(SimNetworkTest, SendersSerializeIndependently) {
@@ -96,7 +104,8 @@ TEST(SimNetworkTest, SendersSerializeIndependently) {
   SimConfig cfg;
   cfg.net_latency_ns = 0;
   cfg.net_bandwidth_bytes_per_sec = 1'000'000;  // 1 MB/s: 5 ms per 5 KB
-  SimNetwork net(cfg);
+  obs::Observer o;
+  SimNetwork net(cfg, o);
   // Overlapped, not 10 ms. The 9 ms bound leaves ~4 ms of scheduler
   // headroom, which a loaded test box (ctest -j) can eat; keep the best of
   // a few attempts, since contention only ever inflates the measurement.

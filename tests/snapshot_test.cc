@@ -55,7 +55,6 @@ TEST(SnapshotTrackerTest, ConcurrentLearnersConvergeToMax) {
 class SnapshotReadTest : public ::testing::Test {
  protected:
   void Build(int num_workers) {
-    observer_.Install();
     ClusterOptions opt;
     opt.num_workers = num_workers;
     opt.sim = SimConfig::Zero();
@@ -75,35 +74,22 @@ class SnapshotReadTest : public ::testing::Test {
   int64_t SumCounter(obs::CounterId id) {
     int64_t sum = 0;
     for (int w = 0; w < cluster_->num_workers(); ++w) {
-      sum += observer_.MetricsFor(Cluster::WorkerSite(w))
-                 .counter(id)
-                 .value();
+      sum += cluster_->worker(w)->metrics().counter(id).value();
     }
     return sum;
   }
 
-  int64_t SumLockAcquires() {
-    int64_t sum = 0;
-    for (int w = 0; w < cluster_->num_workers(); ++w) {
-      sum += cluster_->worker(w)->locks()->acquires();
-    }
-    return sum;
-  }
-
-  obs::Observer observer_;
   std::unique_ptr<Cluster> cluster_;
   TableId table_ = 0;
 };
 
 // The acceptance-criterion assertion: snapshot scans perform zero
-// LockManager acquisitions — proven both by the obs counter and by the
-// always-on LockManager::acquires() count — while forced locking reads
-// still take their IS/S locks.
+// LockManager acquisitions (the registry's lock.acquires does not move)
+// while forced locking reads still take their IS/S locks.
 TEST_F(SnapshotReadTest, SnapshotScansAcquireZeroLocks) {
   Build(2);
   Coordinator* coord = cluster_->coordinator();
 
-  const int64_t acquires_before = SumLockAcquires();
   const int64_t obs_before = SumCounter(obs::CounterId::kLockAcquires);
   const int64_t snap_before = SumCounter(obs::CounterId::kReadSnapshotScans);
   const int64_t bypass_before = SumCounter(obs::CounterId::kReadLockBypass);
@@ -114,9 +100,8 @@ TEST_F(SnapshotReadTest, SnapshotScansAcquireZeroLocks) {
     EXPECT_EQ(rows.size(), 24u);
   }
 
-  EXPECT_EQ(SumLockAcquires(), acquires_before)
+  EXPECT_EQ(SumCounter(obs::CounterId::kLockAcquires), obs_before)
       << "snapshot reads must not touch the lock manager";
-  EXPECT_EQ(SumCounter(obs::CounterId::kLockAcquires), obs_before);
   EXPECT_GE(SumCounter(obs::CounterId::kReadSnapshotScans) - snap_before, 5);
   EXPECT_GT(SumCounter(obs::CounterId::kReadLockBypass) - bypass_before, 0)
       << "bypass accounting should report the locks a locking read would "
@@ -132,7 +117,6 @@ TEST_F(SnapshotReadTest, SnapshotScansAcquireZeroLocks) {
       std::vector<Tuple> rows,
       coord->Query(table_, Predicate(), ReadMode::kLocking));
   EXPECT_EQ(rows.size(), 24u);
-  EXPECT_GT(SumLockAcquires(), acquires_before);
   EXPECT_GT(SumCounter(obs::CounterId::kLockAcquires), obs_before);
   EXPECT_GT(SumCounter(obs::CounterId::kReadLockScans), lock_scans_before);
 }

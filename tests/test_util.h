@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -49,12 +52,52 @@ inline uint64_t MixSeed(uint64_t base) {
   return mixed != 0 ? mixed : 1;
 }
 
-/// Fresh scratch directory under the test temp root.
+/// Removes the directories MakeTempDir made during a test when that test
+/// ends (the test object, and with it every file user, is gone by then).
+class TempDirCleaner : public ::testing::EmptyTestEventListener {
+ public:
+  /// The process's cleaner, appended to gtest's listeners on first use
+  /// (gtest owns it from then on).
+  static TempDirCleaner& Get() {
+    static TempDirCleaner* cleaner = [] {
+      auto* c = new TempDirCleaner;
+      ::testing::UnitTest::GetInstance()->listeners().Append(c);
+      return c;
+    }();
+    return *cleaner;
+  }
+
+  void Add(std::string dir) {
+    std::lock_guard<std::mutex> lock(mu_);
+    dirs_.push_back(std::move(dir));
+  }
+
+  void OnTestEnd(const ::testing::TestInfo&) override {
+    std::vector<std::string> dirs;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      dirs.swap(dirs_);
+    }
+    for (const std::string& dir : dirs) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::string> dirs_;
+};
+
+/// Fresh scratch directory under the test temp root, removed when the
+/// current test ends.
 inline std::string MakeTempDir(const std::string& hint) {
   std::string tmpl = ::testing::TempDir() + "harbor-" + hint + "-XXXXXX";
   char* buf = tmpl.data();
   char* dir = ::mkdtemp(buf);
   EXPECT_NE(dir, nullptr);
+  if (dir == nullptr) return std::string();
+  TempDirCleaner::Get().Add(dir);
   return std::string(dir);
 }
 
@@ -79,25 +122,28 @@ inline std::vector<Value> SmallRow(int64_t id, int64_t qty,
   return {Value(id), Value(qty), Value(name)};
 }
 
-/// \brief Dumps the installed Observer's merged event trace to stderr if the
-/// current gtest test has failed by the time this guard is destroyed.
+/// \brief Dumps an observer's merged event trace to stderr if the current
+/// gtest test has failed by the time this guard is destroyed.
 ///
 /// ASSERT_* macros return out of the enclosing function, so dump-on-failure
-/// must live in a destructor. Declare the guard AFTER installing the
-/// obs::Observer (and after the cluster, so the guard runs before either is
-/// torn down) — a failing chaos replay then prints the ordered protocol
-/// timeline including every fired fault point.
+/// must live in a destructor. Declare the guard AFTER the cluster whose
+/// observer it dumps, so the guard runs before the cluster is torn down —
+/// a failing chaos replay then prints the ordered protocol timeline
+/// including every fired fault point. Construction enables tracing.
 class TraceDumpOnFailure {
  public:
-  TraceDumpOnFailure() = default;
+  explicit TraceDumpOnFailure(obs::Observer& observer) : observer_(observer) {
+    observer_.EnableTrace();
+  }
   ~TraceDumpOnFailure() {
     if (!::testing::Test::HasFailure()) return;
-    obs::Observer* o = obs::Observer::Current();
-    if (o == nullptr) return;
-    std::cerr << o->TraceToString();
+    std::cerr << observer_.TraceToString();
   }
   TraceDumpOnFailure(const TraceDumpOnFailure&) = delete;
   TraceDumpOnFailure& operator=(const TraceDumpOnFailure&) = delete;
+
+ private:
+  obs::Observer& observer_;
 };
 
 }  // namespace harbor::test

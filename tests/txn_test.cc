@@ -67,8 +67,8 @@ class VersionStoreTest : public ::testing::Test {
   VersionStoreTest()
       : fm_(MakeTempDir("vs"), nullptr),
         catalog_(&fm_),
-        pool_(&fm_, 256),
-        locks_(std::chrono::milliseconds(200)),
+        pool_(&fm_, 256, metrics_),
+        locks_(metrics_, std::chrono::milliseconds(200)),
         store_(&catalog_, &pool_, &locks_, nullptr, &txns_) {
     auto obj = catalog_.CreateObject(1, 1, "t", SmallSchema(),
                                      PartitionRange::Full(), 2);
@@ -93,6 +93,7 @@ class VersionStoreTest : public ::testing::Test {
     return std::move(rows).value();
   }
 
+  obs::Metrics metrics_;  // declared first: the pool and locks use it
   FileManager fm_;
   LocalCatalog catalog_;
   BufferPool pool_;

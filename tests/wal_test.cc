@@ -92,7 +92,8 @@ TEST(LogRecordTest, AllTypesRoundTrip) {
 
 TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
   std::string dir = MakeTempDir("wal");
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true));
+  obs::Metrics m;
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true, m));
   Lsn l1 = log->Append(InsertRecord(1, 0, 0));
   Lsn l2 = log->Append(InsertRecord(1, 0, 1));
   EXPECT_EQ(l2, l1 + 1);
@@ -102,15 +103,16 @@ TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
 
 TEST(LogManagerTest, OnlyFlushedPrefixIsDurable) {
   std::string dir = MakeTempDir("wal2");
+  obs::Metrics m;
   {
-    ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true));
+    ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true, m));
     Lsn l1 = log->Append(InsertRecord(1, 0, 0));
     log->Append(InsertRecord(1, 0, 1));
     ASSERT_OK(log->Flush(l1));
     log->Append(InsertRecord(1, 0, 2));
     // Crash: the object goes away with two unflushed records.
   }
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true));
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true, m));
   ASSERT_OK_AND_ASSIGN(auto records, log->ReadAllDurable());
   // Group commit flushed everything pending at Flush time, i.e. l1 and l2;
   // the record appended after the flush is gone.
@@ -123,26 +125,28 @@ TEST(LogManagerTest, OnlyFlushedPrefixIsDurable) {
 
 TEST(LogManagerTest, NonGroupCommitFlushesOnlyOwnPrefix) {
   std::string dir = MakeTempDir("wal3");
+  obs::Metrics m;
   {
-    ASSERT_OK_AND_ASSIGN(auto log,
-                         LogManager::Open(dir, nullptr, /*group_commit=*/false));
+    ASSERT_OK_AND_ASSIGN(
+        auto log, LogManager::Open(dir, nullptr, /*group_commit=*/false, m));
     Lsn l1 = log->Append(InsertRecord(1, 0, 0));
     log->Append(InsertRecord(2, 0, 1));
     ASSERT_OK(log->Flush(l1));  // flushes only up to l1
   }
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, false));
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, false, m));
   ASSERT_OK_AND_ASSIGN(auto records, log->ReadAllDurable());
   EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(LogManagerTest, GroupCommitBatchesConcurrentForces) {
   std::string dir = MakeTempDir("wal4");
+  obs::Metrics m;
   // A nonzero force latency is what makes concurrent committers pile up
   // behind the leader and ride its forced write.
   SimConfig cfg;
   cfg.disk_force_latency_ns = 200'000;
-  SimDisk disk("log", cfg);
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, &disk, true));
+  SimDisk disk("log", cfg, m);
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, &disk, true, m));
 
   // Many threads append + force concurrently; group commit should need far
   // fewer forced writes than transactions.
@@ -160,14 +164,16 @@ TEST(LogManagerTest, GroupCommitBatchesConcurrentForces) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(log->flushed_lsn(), kThreads * kPerThread);
-  EXPECT_LT(disk.num_forced_writes(), kThreads * kPerThread);
+  EXPECT_LT(m.counter(obs::CounterId::kDiskForcedWrites).value(),
+            kThreads * kPerThread);
   ASSERT_OK_AND_ASSIGN(auto records, log->ReadAllDurable());
   EXPECT_EQ(records.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
 TEST(LogManagerTest, MasterRecordRoundTrip) {
   std::string dir = MakeTempDir("wal5");
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true));
+  obs::Metrics m;
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true, m));
   EXPECT_EQ(log->ReadMasterRecord().value(), kInvalidLsn);
   ASSERT_OK(log->WriteMasterRecord(42));
   EXPECT_EQ(log->ReadMasterRecord().value(), 42u);
@@ -177,19 +183,22 @@ TEST(LogManagerTest, MasterRecordRoundTrip) {
 
 TEST(LogManagerTest, FlushChargesForcedWrites) {
   std::string dir = MakeTempDir("wal6");
+  obs::Metrics m;
   SimConfig cfg = SimConfig::Zero();
-  SimDisk disk("log", cfg);
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, &disk, true));
+  SimDisk disk("log", cfg, m);
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, &disk, true, m));
   Lsn lsn = log->Append(InsertRecord(1, 0, 0));
   ASSERT_OK(log->Flush(lsn));
-  EXPECT_EQ(disk.num_forced_writes(), 1);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskForcedWrites).value(), 1);
   ASSERT_OK(log->Flush(lsn));  // already durable: no new force
-  EXPECT_EQ(disk.num_forced_writes(), 1);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskForcedWrites).value(), 1);
+  EXPECT_EQ(m.counter(obs::CounterId::kWalForces).value(), 1);
 }
 
 TEST(LogManagerTest, DiscardUnflushedDropsTail) {
   std::string dir = MakeTempDir("wal7");
-  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true));
+  obs::Metrics m;
+  ASSERT_OK_AND_ASSIGN(auto log, LogManager::Open(dir, nullptr, true, m));
   Lsn l1 = log->Append(InsertRecord(1, 0, 0));
   ASSERT_OK(log->Flush(l1));
   log->Append(InsertRecord(1, 0, 1));
@@ -203,16 +212,14 @@ TEST(LogManagerTest, DiscardUnflushedDropsTail) {
 // up to `target` is durable — even when the caller was a waiter riding on
 // another thread's batch, and even when that leader's batch was formed
 // before this caller appended. Many threads hammer append+flush while each
-// one verifies the contract at every return; the per-force metrics recorded
-// under the installed Observer must agree with the log's own force counter.
+// one verifies the contract at every return; every force is counted once,
+// with one latency sample, and charges one forced write to the disk.
 TEST(LogManagerTest, ConcurrentForcesRespectTargetOrdering) {
   std::string dir = MakeTempDir("wal8");
-  SimDisk disk("log", SimConfig::Zero(), /*site=*/9);
-  obs::Observer o;
-  o.Install();
+  obs::Metrics m;
+  SimDisk disk("log", SimConfig::Zero(), m);
   ASSERT_OK_AND_ASSIGN(auto log,
-                       LogManager::Open(dir, &disk, /*group_commit=*/true,
-                                        /*site=*/9));
+                       LogManager::Open(dir, &disk, /*group_commit=*/true, m));
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100;
   std::atomic<int> violations{0};
@@ -231,20 +238,16 @@ TEST(LogManagerTest, ConcurrentForcesRespectTargetOrdering) {
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(log->flushed_lsn(), kThreads * kPerThread);
 
-  // The observability layer saw every force the log performed: one
-  // wal.force_ns sample and one wal.forces count per actual forced write.
-  const obs::Metrics& m = o.MetricsFor(9);
-  EXPECT_EQ(m.counter(obs::CounterId::kWalForces).value(),
-            log->num_forces());
-  EXPECT_EQ(m.histogram(obs::HistogramId::kWalForceNs).count(),
-            log->num_forces());
+  // One wal.force_ns sample and one disk force per wal.forces count.
+  const int64_t forces = m.counter(obs::CounterId::kWalForces).value();
+  EXPECT_EQ(m.histogram(obs::HistogramId::kWalForceNs).count(), forces);
+  EXPECT_EQ(m.counter(obs::CounterId::kDiskForcedWrites).value(), forces);
   EXPECT_EQ(m.counter(obs::CounterId::kWalRecordsFlushed).value(),
             kThreads * kPerThread);
-  // Group commit means strictly fewer forces than flush calls.
-  EXPECT_LE(log->num_forces(), kThreads * kPerThread);
+  // Group commit never needs more forces than flush calls.
+  EXPECT_LE(forces, kThreads * kPerThread);
   EXPECT_EQ(m.gauge(obs::GaugeId::kWalFlushedLsn).value(),
             static_cast<int64_t>(log->flushed_lsn()));
-  o.Uninstall();
 }
 
 }  // namespace

@@ -207,11 +207,19 @@ TEST_F(WorkerMessageTest, TableLockBlocksAndReleases) {
 }
 
 TEST_F(WorkerMessageTest, CommitCountsTrackThroughput) {
-  EXPECT_EQ(worker(0)->commits(), 0);
+  auto commits = [](Worker* w) {
+    return w->metrics().counter(obs::CounterId::kTxnCommitted).value();
+  };
+  EXPECT_EQ(commits(worker(0)), 0);
   ASSERT_OK(cluster_->coordinator()->InsertTxn(table_, SmallRow(1, 1, "a")));
   ASSERT_OK(cluster_->coordinator()->InsertTxn(table_, SmallRow(2, 2, "b")));
-  EXPECT_EQ(worker(0)->commits(), 2);
-  EXPECT_EQ(worker(1)->commits(), 2);
+  EXPECT_EQ(commits(worker(0)), 2);
+  EXPECT_EQ(commits(worker(1)), 2);
+  // The count lives in the cluster, not in the worker's runtime: it
+  // survives a crash and restart.
+  cluster_->CrashWorker(0);
+  ASSERT_OK(cluster_->RecoverWorker(0).status());
+  EXPECT_EQ(commits(worker(0)), 2);
 }
 
 TEST_F(WorkerMessageTest, RestartWhileRunningIsRejected) {
