@@ -40,7 +40,7 @@ void Run() {
     spec.mode = ScanMode::kVisible;
     spec.as_of = cluster->authority()->StableTime();
     SeqScanOperator scan(w0->store(), obj, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     HARBOR_CHECK(rows->size() == kRows);
     double scan_ms = scan_watch.ElapsedMillis();
@@ -56,7 +56,7 @@ void Run() {
     probe.has_insertion_after = true;
     probe.insertion_after = cluster->authority()->StableTime();
     SeqScanOperator pruned_scan(w0->store(), obj, probe);
-    auto pruned_rows = CollectAll(&pruned_scan);
+    auto pruned_rows = pruned_scan.Collect();
     HARBOR_CHECK_OK(pruned_rows.status());
     HARBOR_CHECK(pruned_rows->empty());
     const size_t pruned = pruned_scan.segments_pruned() +

@@ -354,7 +354,7 @@ BENCHMARK_F(ScanFixture, SeqScan50K)(benchmark::State& state) {
     spec.mode = ScanMode::kVisible;
     spec.as_of = 1;
     SeqScanOperator scan(store_.get(), obj_, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     benchmark::DoNotOptimize(rows->size());
   }
@@ -369,7 +369,7 @@ BENCHMARK_F(ScanFixture, SeqScanPrunedToLastSegment)(benchmark::State& state) {
     spec.has_insertion_after = true;
     spec.insertion_after = 1;  // nothing matches; pruning skips everything
     SeqScanOperator scan(store_.get(), obj_, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     benchmark::DoNotOptimize(rows->size());
   }
@@ -378,14 +378,20 @@ BENCHMARK_F(ScanFixture, SeqScanPrunedToLastSegment)(benchmark::State& state) {
 // ---------------------------------------------------------------------
 // Row vs columnar scan throughput on a selective predicate. Two objects
 // with identical data: one row-format, one with the PAX-style columnar
-// segment layout. The predicate selects ~1.5% of rows on a low-cardinality
-// CHAR column, so the columnar path compares 1-byte dictionary codes (and,
-// once hot, resolves through the per-segment adaptive eq index) while the
-// row path must unpack every slot. Source of BENCH_columnar_scan.json:
+// segment layout. range(1) picks the predicate, each selecting 782 rows
+// (~1.5%):
+//  0: tag == 'hot' on a 2-value CHAR column: 1-byte dictionary codes (and,
+//     once hot, the per-segment adaptive eq index) on the columnar path,
+//     a packed-byte compare on the row path;
+//  1: f0 >= 20000 AND f1 < 20783 on INT32 columns holding a permutation of
+//     0..49999, so no zone map prunes: 2-byte frame-of-reference codes on
+//     the columnar path, packed integers on the row path.
+// Both paths must return the same count. Source of BENCH_columnar_scan.json:
 //   bench_micro --benchmark_filter=ColumnarVsRowScan
 //               --benchmark_format=json
 
 constexpr size_t kColScanRows = 50000;
+constexpr size_t kColScanMatches = 782;
 
 Schema ColScanSchema() {
   std::vector<Column> cols;
@@ -432,7 +438,7 @@ ColScanEnv& ColEnv() {
     for (size_t i = 0; i < kColScanRows; ++i) {
       std::vector<Value> values;
       for (int c = 0; c < 12; ++c) {
-        values.push_back(Value(static_cast<int32_t>(i + c)));
+        values.push_back(Value(static_cast<int32_t>((i * 7919) % 50000 + c)));
       }
       values.push_back(Value(i % 64 == 0 ? "hot" : "cold"));
       Tuple t(values);
@@ -449,6 +455,7 @@ ColScanEnv& ColEnv() {
 void BM_ColumnarVsRowScan(benchmark::State& state) {
   ColScanEnv& env = ColEnv();
   TableObject* obj = state.range(0) == 0 ? env.row_obj : env.col_obj;
+  const bool numeric = state.range(1) != 0;
   size_t matched = 0;
   size_t columnar_segments = 0;
   size_t adaptive = 0;
@@ -457,11 +464,16 @@ void BM_ColumnarVsRowScan(benchmark::State& state) {
     spec.object_id = obj->object_id;
     spec.mode = ScanMode::kVisible;
     spec.as_of = 1;
-    spec.predicate.And("tag", CompareOp::kEq, Value("hot"));
+    if (numeric) {
+      spec.predicate.And("f0", CompareOp::kGe, Value(int32_t{20000}))
+          .And("f1", CompareOp::kLt, Value(int32_t{20783}));
+    } else {
+      spec.predicate.And("tag", CompareOp::kEq, Value("hot"));
+    }
     SeqScanOperator scan(env.store.get(), obj, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
-    HARBOR_CHECK(rows->size() == (kColScanRows + 63) / 64);
+    HARBOR_CHECK(rows->size() == kColScanMatches);
     matched = rows->size();
     columnar_segments = scan.columnar_segments();
     adaptive = scan.adaptive_index_probes();
@@ -473,9 +485,8 @@ void BM_ColumnarVsRowScan(benchmark::State& state) {
   state.counters["adaptive_index_segments"] = static_cast<double>(adaptive);
 }
 BENCHMARK(BM_ColumnarVsRowScan)
-    ->ArgName("columnar")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"columnar", "numeric"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)

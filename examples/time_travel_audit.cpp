@@ -95,7 +95,7 @@ int main() {
   see_all.mode = ScanMode::kSeeDeleted;
   see_all.predicate.And("account", CompareOp::kEq, Value(int64_t{2}));
   SeqScanOperator scan(w->store(), obj, see_all);
-  auto versions = CollectAll(&scan);
+  auto versions = scan.Collect();
   HARBOR_CHECK_OK(versions.status());
   for (const Tuple& v : *versions) {
     std::printf("  balance=%-6lld inserted@%llu %s\n",

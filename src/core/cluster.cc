@@ -189,10 +189,8 @@ Status Cluster::BulkLoad(TableId table, const std::vector<LoadRow>& rows,
     for (const LoadRow& row : rows) {
       if (key_idx != SIZE_MAX) {
         const Value& key = row.values[key_idx];
-        int64_t k = key.type() == ColumnType::kInt32
-                        ? key.AsInt32()
-                        : static_cast<int64_t>(key.AsNumeric());
-        if (key.type() == ColumnType::kInt64) k = key.AsInt64();
+        const int64_t k = key.type() == ColumnType::kInt32 ? key.AsInt32()
+                                                            : key.AsInt64();
         if (!obj->partition.Contains(k)) continue;
       }
       Tuple t(row.values);

@@ -56,6 +56,16 @@ Result<ObjectId> GlobalCatalog::AddReplica(TableId table, SiteId site,
     return Status::InvalidArgument(
         "replica schema is not a permutation of the logical schema");
   }
+  if (!partition.IsFull()) {
+    // Partition keys route and scan as integers.
+    HARBOR_ASSIGN_OR_RETURN(
+        size_t key, def->logical_schema.ColumnIndex(partition.column));
+    const ColumnType type = def->logical_schema.column(key).type;
+    if (type != ColumnType::kInt32 && type != ColumnType::kInt64) {
+      return Status::InvalidArgument("partition column " + partition.column +
+                                     " is not an integer column");
+    }
+  }
   ReplicaPlacement p;
   p.site = site;
   p.object_id = next_object_id_++;

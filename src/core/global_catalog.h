@@ -53,9 +53,10 @@ struct RecoveryObject {
 
 /// \brief Desired shape of a deterministic K-safe placement (PlaceTable):
 /// `replication_factor` copies of each shard, `shards` horizontal shards
-/// over `shard_column`'s [domain_lo, domain_hi) key domain. shards == 1
-/// places full-table replicas. The replication factor is the paper's K+1:
-/// the table survives replication_factor - 1 simultaneous site failures.
+/// over `shard_column`'s [domain_lo, domain_hi) key domain (an INT32 or
+/// INT64 column). shards == 1 places full-table replicas. The replication
+/// factor is the paper's K+1: the table survives replication_factor - 1
+/// simultaneous site failures.
 struct PlacementSpec {
   uint32_t replication_factor = 2;
   uint32_t shards = 1;
@@ -81,6 +82,7 @@ class GlobalCatalog {
 
   /// Adds a replica/partition placement; assigns and returns its object id
   /// (object ids are globally unique and double as file ids at their site).
+  /// A partitioned placement's column must be an INT32 or INT64 column.
   Result<ObjectId> AddReplica(TableId table, SiteId site,
                               PartitionRange partition, Schema physical_schema,
                               uint32_t segment_page_budget,

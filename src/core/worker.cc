@@ -10,12 +10,10 @@ namespace harbor {
 
 namespace {
 
+/// A partition key; partition columns are integers (GlobalCatalog::
+/// AddReplica).
 int64_t IntOf(const Value& v) {
-  switch (v.type()) {
-    case ColumnType::kInt32: return v.AsInt32();
-    case ColumnType::kInt64: return v.AsInt64();
-    default: return static_cast<int64_t>(v.AsNumeric());
-  }
+  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
 }
 
 }  // namespace
@@ -627,7 +625,7 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
     if (m.minimal_projection) {
       HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
     } else {
-      HARBOR_ASSIGN_OR_RETURN(tuples, CollectAll(&scan));
+      HARBOR_ASSIGN_OR_RETURN(tuples, scan.Collect());
     }
     pages_visited = scan.pages_visited();
   }

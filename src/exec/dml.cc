@@ -77,7 +77,7 @@ Result<std::vector<Tuple>> ScanForWrite(VersionStore* store, TxnState* txn,
   spec.predicate = predicate;
   SeqScanOperator scan(store, obj, std::move(spec), txn->id,
                        ScanLocking::kPageLocks);
-  return CollectAll(&scan);
+  return scan.Collect();
 }
 
 }  // namespace

@@ -58,6 +58,30 @@ struct ScanSpec {
   /// Additional user predicate.
   Predicate predicate;
 
+  /// Applies the mode's visibility and the timestamp conjuncts to one
+  /// version's system fields. On success `*del` holds the deletion time as
+  /// the scan presents it (a historical scan shows later deletions undone).
+  bool Admits(Timestamp ins, Timestamp* del) const {
+    switch (mode) {
+      case ScanMode::kVisible:
+        if (ins == kUncommittedTimestamp || ins > as_of) return false;
+        if (*del != kNotDeleted && *del <= as_of) return false;
+        break;
+      case ScanMode::kSeeDeleted:
+        break;
+      case ScanMode::kSeeDeletedHistorical:
+        if (ins > as_of) return false;  // includes uncommitted
+        if (*del > as_of) *del = kNotDeleted;
+        break;
+    }
+    if (has_insertion_at_or_before && ins > insertion_at_or_before) {
+      return false;
+    }
+    if (has_insertion_after && ins <= insertion_after) return false;
+    if (has_deletion_after && *del <= deletion_after) return false;
+    return !(exclude_uncommitted && ins == kUncommittedTimestamp);
+  }
+
   void Serialize(ByteBufferWriter* out) const;
   static Result<ScanSpec> Deserialize(ByteBufferReader* in);
   std::string ToString() const;

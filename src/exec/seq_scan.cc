@@ -1,42 +1,11 @@
 #include "exec/seq_scan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "exec/predicate.h"
 #include "storage/heap_page.h"
 
 namespace harbor {
-
-namespace {
-
-template <typename T>
-T Load(const uint8_t* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// A packed numeric column widened to double, as CompareValues widens it.
-double PackedNumber(const uint8_t* p, ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt32: return Load<int32_t>(p);
-    case ColumnType::kInt64: return static_cast<double>(Load<int64_t>(p));
-    default: return Load<double>(p);
-  }
-}
-
-/// Integer view of a packed partition-key column.
-int64_t PackedInt(const uint8_t* p, ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt32: return Load<int32_t>(p);
-    case ColumnType::kInt64: return Load<int64_t>(p);
-    default: return static_cast<int64_t>(Load<double>(p));
-  }
-}
-
-}  // namespace
 
 SeqScanOperator::SeqScanOperator(VersionStore* store, TableObject* obj,
                                  ScanSpec spec, LockOwnerId owner,
@@ -48,65 +17,29 @@ SeqScanOperator::SeqScanOperator(VersionStore* store, TableObject* obj,
       locking_(locking) {}
 
 Status SeqScanOperator::Open() {
-  HARBOR_ASSIGN_OR_RETURN(bound_predicate_,
-                          spec_.predicate.Bind(obj_->schema));
-  if (!spec_.range.IsFull()) {
-    HARBOR_ASSIGN_OR_RETURN(size_t idx,
-                            obj_->schema.ColumnIndex(spec_.range.column));
-    range_column_ = static_cast<int>(idx);
-  }
-  // Numeric conjuncts against numeric constants can be tested on the packed
-  // row bytes — the page stores them as native fixed-width fields — so most
-  // non-matching slots are discarded before Tuple::Unpack materializes any
-  // Value. The full predicate still runs on unpacked tuples afterwards.
-  packed_probes_.clear();
-  {
-    const auto& conjuncts = spec_.predicate.conjuncts();
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      const size_t col = bound_predicate_[i];
-      if (obj_->schema.column(col).type == ColumnType::kChar ||
-          conjuncts[i].value.type() == ColumnType::kChar) {
-        continue;
-      }
-      packed_probes_.push_back(PackedProbe{
-          kTupleSystemHeaderBytes + obj_->schema.ColumnOffset(col),
-          obj_->schema.column(col).type, conjuncts[i].op,
-          conjuncts[i].value.AsNumeric()});
-    }
-  }
+  HARBOR_ASSIGN_OR_RETURN(conjuncts_, CompileConjuncts(spec_, obj_->schema));
   if (locking_ == ScanLocking::kPageLocks) {
     HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquireTableLock(
         owner_, obj_->object_id, LockMode::kIntentionShared));
   }
 
   // Index path: an equality probe on the secondary-indexed column resolves
-  // to candidate record ids instead of a full scan.
+  // to candidate record ids instead of a full scan. Its compiled interval
+  // holds exactly the keys equal to the constant, whatever its type.
   use_index_ = false;
   if (obj_->secondary != nullptr) {
-    for (const ColumnPredicate& c : spec_.predicate.conjuncts()) {
-      if (c.op == CompareOp::kEq && c.column == obj_->secondary->column()) {
+    for (size_t i = 0; i < spec_.predicate.conjuncts().size(); ++i) {
+      const CompiledConjunct& c = conjuncts_[i];
+      if (c.op == CompareOp::kEq && c.kind == CompiledConjunct::Kind::kInt &&
+          !c.negate &&
+          obj_->schema.column(c.col).name == obj_->secondary->column()) {
         HARBOR_RETURN_NOT_OK(store_->EnsureIndex(obj_));
-        const int64_t key = c.value.type() == ColumnType::kInt32
-                                ? c.value.AsInt32()
-                                : c.value.AsInt64();
-        candidates_ = obj_->secondary->Lookup(key);
+        candidates_ = obj_->secondary->LookupRange(c.lo, c.hi);
         use_index_ = true;
         break;
       }
     }
   }
-  open_ = true;
-  return Rewind();
-}
-
-Status SeqScanOperator::Rewind() {
-  HARBOR_CHECK(open_);
-  current_segment_ = 0;
-  segment_pages_.clear();
-  current_page_ = 0;
-  current_candidate_ = 0;
-  batch_.clear();
-  exhausted_ = false;
   return Status::OK();
 }
 
@@ -142,111 +75,111 @@ bool SeqScanOperator::SegmentNeeded(size_t seg) const {
   return true;
 }
 
-Status SeqScanOperator::LoadNextBatch() {
-  const uint32_t tuple_bytes = obj_->schema.tuple_bytes();
-  while (true) {
-    if (current_page_ >= segment_pages_.size()) {
-      // Advance to the next needed segment.
-      while (current_segment_ < obj_->file->num_segments() &&
-             !SegmentNeeded(current_segment_)) {
-        ++current_segment_;
-        ++segments_pruned_;
-      }
-      if (current_segment_ >= obj_->file->num_segments()) {
-        exhausted_ = true;
-        return Status::OK();
-      }
-      const size_t seg = current_segment_++;
-      ++segments_visited_;
-      if (ColumnarEligible(seg)) {
-        HARBOR_ASSIGN_OR_RETURN(const bool served, ScanColumnarSegment(seg));
-        if (served) {
-          if (!batch_.empty()) return Status::OK();
-          continue;
-        }
-        // Image build failed: the row pages below stay the fallback.
-      }
-      segment_pages_ = obj_->file->PagesOfSegment(seg);
-      current_page_ = 0;
+Result<std::vector<Tuple>> SeqScanOperator::Collect() {
+  HARBOR_RETURN_NOT_OK(Open());
+  std::vector<Tuple> rows;
+  if (use_index_) {
+    HARBOR_RETURN_NOT_OK(ScanCandidates(&rows));
+  } else {
+    HARBOR_RETURN_NOT_OK(ScanSegments(nullptr, &rows));
+  }
+  return rows;
+}
+
+Result<std::vector<VersionKey>> SeqScanOperator::ScanKeys() {
+  HARBOR_RETURN_NOT_OK(Open());
+  std::vector<VersionKey> keys;
+  HARBOR_RETURN_NOT_OK(ScanSegments(&keys, nullptr));
+  return keys;
+}
+
+Status SeqScanOperator::ScanSegments(std::vector<VersionKey>* keys,
+                                     std::vector<Tuple>* rows) {
+  for (size_t seg = 0; seg < obj_->file->num_segments(); ++seg) {
+    if (!SegmentNeeded(seg)) {
+      ++segments_pruned_;
       continue;
     }
-
-    const PageId pid = segment_pages_[current_page_++];
-    if (locking_ == ScanLocking::kPageLocks) {
-      HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquirePageLock(
-          owner_, pid, LockMode::kShared));
+    ++segments_visited_;
+    if (rows != nullptr && ColumnarEligible(seg)) {
+      HARBOR_ASSIGN_OR_RETURN(const bool served, ScanColumnarSegment(seg, rows));
+      if (served) continue;
+      // Image build failed: the row pages below stay the fallback.
     }
-    HARBOR_ASSIGN_OR_RETURN(PageHandle handle,
-                            store_->buffer_pool()->GetPage(pid,
-                                                           /*sequential=*/true));
-    ++pages_visited_;
-    PageLatchGuard latch(handle);
-    HeapPage view(handle.data(), tuple_bytes);
-    if (view.capacity() == 0) continue;  // never-initialized page
-    for (uint16_t slot = 0; slot < view.capacity(); ++slot) {
-      if (!view.IsOccupied(slot)) continue;
-      EvaluateSlot(view.TupleData(slot), pid, slot);
+    for (const PageId& pid : obj_->file->PagesOfSegment(seg)) {
+      HARBOR_RETURN_NOT_OK(
+          ScanPage(pid, /*sequential=*/true, nullptr, 0, keys, rows));
     }
-    if (!batch_.empty()) return Status::OK();
   }
+  return Status::OK();
 }
 
-// `inline`: both per-slot loops call this, and the hint keeps it inlined.
-inline bool SeqScanOperator::SlotQualifies(const uint8_t* data,
-                                           RecordId rid,
-                                           VersionKey* key) const {
-  const ScanSpec& s = spec_;
-  const PackedSystemHeader h = PackedSystemHeader::Read(data);
-  const Timestamp ins = h.insertion_ts;
-  Timestamp del = h.deletion_ts;
-  switch (s.mode) {
-    case ScanMode::kVisible:
-      if (ins == kUncommittedTimestamp || ins > s.as_of) return false;
-      if (del != kNotDeleted && del <= s.as_of) return false;
-      break;
-    case ScanMode::kSeeDeleted:
-      break;
-    case ScanMode::kSeeDeletedHistorical:
-      // Insertions after the snapshot are invisible; deletions after it
-      // appear undone (§5.3).
-      if (ins > s.as_of) return false;  // includes uncommitted
-      if (del > s.as_of) del = kNotDeleted;
-      break;
+Status SeqScanOperator::ScanPage(PageId pid, bool sequential,
+                                 const uint32_t* slots, size_t n,
+                                 std::vector<VersionKey>* keys,
+                                 std::vector<Tuple>* rows) {
+  if (locking_ == ScanLocking::kPageLocks) {
+    HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquirePageLock(
+        owner_, pid, LockMode::kShared));
   }
-
-  if (s.has_insertion_at_or_before && ins > s.insertion_at_or_before) {
-    return false;
-  }
-  if (s.has_insertion_after && ins <= s.insertion_after) return false;
-  if (s.has_deletion_after && del <= s.deletion_after) return false;
-  if (s.exclude_uncommitted && ins == kUncommittedTimestamp) return false;
-  if (range_column_ >= 0) {
-    const size_t col = static_cast<size_t>(range_column_);
-    if (!s.range.Contains(PackedInt(
-            data + kTupleSystemHeaderBytes + obj_->schema.ColumnOffset(col),
-            obj_->schema.column(col).type))) {
-      return false;
+  HARBOR_ASSIGN_OR_RETURN(PageHandle handle,
+                          store_->buffer_pool()->GetPage(pid, sequential));
+  ++pages_visited_;
+  PageLatchGuard latch(handle);
+  const uint32_t stride = obj_->schema.tuple_bytes();
+  HeapPage view(handle.data(), stride);
+  const uint16_t cap = view.capacity();  // 0 on a never-initialized page
+  // The selection vector starts as the occupied slots.
+  sel_.resize(slots == nullptr ? cap : n);
+  size_t k = 0;
+  if (slots == nullptr) {
+    for (uint16_t s = 0; s < cap; ++s) {
+      sel_[k] = s;
+      k += view.IsOccupied(s) ? 1 : 0;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (slots[i] < cap && view.IsOccupied(static_cast<uint16_t>(slots[i]))) {
+        sel_[k++] = slots[i];
+      }
     }
   }
-  for (const PackedProbe& p : packed_probes_) {
-    if (!CompareNumeric(PackedNumber(data + p.offset, p.type), p.op,
-                        p.rhs_num)) {
-      return false;
+  k = FilterPackedSlots(conjuncts_, obj_->schema, view.TupleData(0), stride,
+                        sel_.data(), k);
+  for (size_t i = 0; i < k; ++i) {
+    const uint16_t slot = static_cast<uint16_t>(sel_[i]);
+    const uint8_t* data = view.TupleData(slot);
+    const PackedSystemHeader h = PackedSystemHeader::Read(data);
+    Timestamp del = h.deletion_ts;
+    if (!spec_.Admits(h.insertion_ts, &del)) continue;
+    const RecordId rid{pid, slot};
+    if (rows == nullptr) {
+      keys->push_back(VersionKey{h.insertion_ts, del, h.tuple_id, rid});
+      continue;
     }
+    Tuple t = Tuple::Unpack(obj_->schema, data);
+    t.set_deletion_ts(del);  // present the snapshot view
+    t.set_record_id(rid);
+    rows->push_back(std::move(t));
   }
-  *key = VersionKey{ins, del, h.tuple_id, rid};
-  return true;
+  return Status::OK();
 }
 
-void SeqScanOperator::EvaluateSlot(const uint8_t* data, PageId pid,
-                                   uint16_t slot) {
-  VersionKey key;
-  if (!SlotQualifies(data, RecordId{pid, slot}, &key)) return;
-  Tuple t = Tuple::Unpack(obj_->schema, data);
-  t.set_deletion_ts(key.deletion_ts);  // present the snapshot view
-  t.set_record_id(key.rid);
-  if (!spec_.predicate.EvalBound(bound_predicate_, t)) return;
-  batch_.push_back(std::move(t));
+Status SeqScanOperator::ScanCandidates(std::vector<Tuple>* rows) {
+  std::vector<uint32_t> slots;
+  for (size_t i = 0; i < candidates_.size();) {
+    const PageId page = candidates_[i].page;
+    slots.clear();
+    for (; i < candidates_.size() && candidates_[i].page == page; ++i) {
+      slots.push_back(candidates_[i].slot);
+    }
+    // Segment pruning applies to index probes as well.
+    auto seg = obj_->file->SegmentOfPage(page.page_no);
+    if (!seg.ok() || !SegmentNeeded(*seg)) continue;
+    HARBOR_RETURN_NOT_OK(ScanPage(page, /*sequential=*/false, slots.data(),
+                                  slots.size(), nullptr, rows));
+  }
+  return Status::OK();
 }
 
 bool SeqScanOperator::ColumnarEligible(size_t seg) const {
@@ -256,7 +189,8 @@ bool SeqScanOperator::ColumnarEligible(size_t seg) const {
   return seg + 1 < obj_->file->num_segments();
 }
 
-Result<bool> SeqScanOperator::ScanColumnarSegment(size_t seg) {
+Result<bool> SeqScanOperator::ScanColumnarSegment(size_t seg,
+                                                  std::vector<Tuple>* rows) {
   // Up-to-date reads still take the segment's shared page locks before the
   // image is consulted: StampCommit writes its stamps through to cached
   // images before the committer's locks are released, so acquiring the
@@ -269,94 +203,12 @@ Result<bool> SeqScanOperator::ScanColumnarSegment(size_t seg) {
   }
   auto image = store_->EnsureColumnarSegment(obj_, seg);
   if (!image.ok()) return false;  // row pages stay the fallback
-  ColumnarSegmentScanner scanner(*image, &spec_, &bound_predicate_,
-                                 range_column_);
-  const VectorScanResult r = scanner.Scan(&batch_);
+  const VectorScanResult r =
+      ScanColumnarImage(image->get(), spec_, conjuncts_, rows);
   ++columnar_segments_;
   if (r.zone_pruned) ++zone_pruned_segments_;
   if (r.used_adaptive_index) ++adaptive_index_probes_;
   return true;
-}
-
-Status SeqScanOperator::LoadCandidateBatch() {
-  const uint32_t tuple_bytes = obj_->schema.tuple_bytes();
-  while (current_candidate_ < candidates_.size()) {
-    const RecordId rid = candidates_[current_candidate_++];
-    // Segment pruning applies to index probes as well.
-    auto seg = obj_->file->SegmentOfPage(rid.page.page_no);
-    if (!seg.ok() || !SegmentNeeded(*seg)) continue;
-    if (locking_ == ScanLocking::kPageLocks) {
-      HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquirePageLock(
-          owner_, rid.page, LockMode::kShared));
-    }
-    HARBOR_ASSIGN_OR_RETURN(PageHandle handle,
-                            store_->buffer_pool()->GetPage(rid.page));
-    ++pages_visited_;
-    PageLatchGuard latch(handle);
-    HeapPage view(handle.data(), tuple_bytes);
-    if (rid.slot >= view.capacity() || !view.IsOccupied(rid.slot)) continue;
-    EvaluateSlot(view.TupleData(rid.slot), rid.page, rid.slot);
-    if (!batch_.empty()) return Status::OK();
-  }
-  exhausted_ = true;
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> SeqScanOperator::Next() {
-  HARBOR_CHECK(open_);
-  while (batch_.empty() && !exhausted_) {
-    if (use_index_) {
-      HARBOR_RETURN_NOT_OK(LoadCandidateBatch());
-      continue;
-    }
-    HARBOR_RETURN_NOT_OK(LoadNextBatch());
-  }
-  if (batch_.empty()) return std::optional<Tuple>{};
-  Tuple t = std::move(batch_.front());
-  batch_.pop_front();
-  return std::optional<Tuple>(std::move(t));
-}
-
-Result<std::vector<VersionKey>> SeqScanOperator::ScanKeys() {
-  HARBOR_RETURN_NOT_OK(Open());
-  const uint32_t tuple_bytes = obj_->schema.tuple_bytes();
-  // Numeric conjuncts are fully answered by the packed probes; only a CHAR
-  // conjunct needs the unpacked tuple.
-  const bool unpack =
-      packed_probes_.size() < spec_.predicate.conjuncts().size();
-  std::vector<VersionKey> keys;
-  for (size_t seg = 0; seg < obj_->file->num_segments(); ++seg) {
-    if (!SegmentNeeded(seg)) {
-      ++segments_pruned_;
-      continue;
-    }
-    ++segments_visited_;
-    for (const PageId& pid : obj_->file->PagesOfSegment(seg)) {
-      if (locking_ == ScanLocking::kPageLocks) {
-        HARBOR_RETURN_NOT_OK(store_->lock_manager()->AcquirePageLock(
-            owner_, pid, LockMode::kShared));
-      }
-      HARBOR_ASSIGN_OR_RETURN(PageHandle handle,
-                              store_->buffer_pool()->GetPage(
-                                  pid, /*sequential=*/true));
-      ++pages_visited_;
-      PageLatchGuard latch(handle);
-      HeapPage view(handle.data(), tuple_bytes);
-      for (uint16_t slot = 0; slot < view.capacity(); ++slot) {
-        if (!view.IsOccupied(slot)) continue;
-        const uint8_t* data = view.TupleData(slot);
-        VersionKey key;
-        if (!SlotQualifies(data, RecordId{pid, slot}, &key)) continue;
-        if (unpack && !spec_.predicate.EvalBound(
-                          bound_predicate_,
-                          Tuple::Unpack(obj_->schema, data))) {
-          continue;
-        }
-        keys.push_back(key);
-      }
-    }
-  }
-  return keys;
 }
 
 bool SelectChunk(std::vector<VersionKey>* keys, const ScanCursor& after,

@@ -1,10 +1,8 @@
 #ifndef HARBOR_EXEC_SEQ_SCAN_H_
 #define HARBOR_EXEC_SEQ_SCAN_H_
 
-#include <deque>
 #include <vector>
 
-#include "exec/operator.h"
 #include "exec/scan_spec.h"
 #include "exec/vector_scan.h"
 #include "lock/lock_manager.h"
@@ -25,21 +23,34 @@ enum class ScanLocking : uint8_t { kNone = 0, kPageLocks = 1, kSnapshot = 2 };
 /// SEE DELETED / HISTORICAL semantics and segment pruning driven by the
 /// spec's timestamp range predicates (§4.2).
 ///
+/// The spec's predicate and partition range compile once into typed
+/// conjuncts (CompileConjuncts) that run batch-at-a-time over a selection
+/// vector: per row page, the occupied slots are filtered by the conjuncts at
+/// the packed fields, then by visibility on the headers of the survivors,
+/// and only rows that pass become Tuples. Sealed segments of a columnar
+/// object run the same conjuncts over their encoded vectors
+/// (ScanColumnarImage).
+///
 /// When the object maintains a secondary index on a column that the spec's
 /// predicate probes with equality, the scan switches to an index lookup:
-/// per-segment index probes produce candidate record ids, which are then
-/// run through exactly the same visibility and predicate filters (the
-/// "indexed update queries" of §6.1.5 use this path).
-class SeqScanOperator : public Operator {
+/// the candidate record ids of each page become that page's selection
+/// vector (the "indexed update queries" of §6.1.5 use this path).
+class SeqScanOperator {
  public:
   SeqScanOperator(VersionStore* store, TableObject* obj, ScanSpec spec,
                   LockOwnerId owner = 0,
                   ScanLocking locking = ScanLocking::kNone);
 
-  Status Open() override;
-  Result<std::optional<Tuple>> Next() override;
-  Status Rewind() override;
-  const Schema& schema() const override { return obj_->schema; }
+  /// Runs the whole scan and returns the qualifying tuples in storage order
+  /// (in index-candidate order on the index path).
+  Result<std::vector<Tuple>> Collect();
+
+  /// Runs the whole scan key-only: the system header of every qualifying
+  /// version in the segments the spec's timestamp predicates leave, read
+  /// from the authoritative row pages of either layout (so no columnar
+  /// image is built), with the same filters as Collect(). Builds no Tuple.
+  /// Keys come in storage order.
+  Result<std::vector<VersionKey>> ScanKeys();
 
   /// Pruning effectiveness counters (exercised by tests and the segment
   /// ablation bench).
@@ -55,40 +66,27 @@ class SeqScanOperator : public Operator {
   /// True when this scan resolved through the secondary index.
   bool used_index() const { return use_index_; }
 
-  /// Runs the whole scan key-only: opens it, then reads the system header of
-  /// every occupied slot in the segments the spec's timestamp predicates
-  /// leave (on the authoritative row pages of either layout, so no columnar
-  /// image is built) and applies the same visibility, timestamp, range and
-  /// column filters as Next(). Builds no Tuple unless the predicate has a
-  /// conjunct that packed bytes cannot answer. Keys come in storage order.
-  Result<std::vector<VersionKey>> ScanKeys();
-
  private:
-  /// A cheap predicate probe evaluated on packed row bytes before a slot is
-  /// unpacked into a Tuple: numeric column vs numeric constant, compared
-  /// through the same double widening CompareValues applies.
-  struct PackedProbe {
-    uint32_t offset = 0;  // byte offset of the column within the slot
-    ColumnType type = ColumnType::kInt64;
-    CompareOp op = CompareOp::kEq;
-    double rhs_num = 0.0;
-  };
-
+  /// Compiles the spec, takes the table lock and picks the index path.
+  Status Open();
   bool SegmentNeeded(size_t seg) const;
-  Status LoadNextBatch();
-  Status LoadCandidateBatch();
-  /// Applies the spec's visibility, timestamp and range predicates and the
-  /// packed numeric probes to the bytes of the occupied slot at `rid`; on
-  /// success `key` holds its system fields as the scan presents them.
-  bool SlotQualifies(const uint8_t* data, RecordId rid, VersionKey* key) const;
-  /// SlotQualifies plus the full column predicate on the unpacked tuple;
-  /// appends the qualifying tuple to the batch.
-  void EvaluateSlot(const uint8_t* data, PageId pid, uint16_t slot);
+  /// Scans every needed segment; appends keys to `keys`, or tuples to
+  /// `rows` when that is non-null (then sealed columnar segments are served
+  /// from their images).
+  Status ScanSegments(std::vector<VersionKey>* keys, std::vector<Tuple>* rows);
+  /// Runs the compiled scan over the occupied slots of page `pid` (all of
+  /// them, or the `n` listed in `slots`) and appends the survivors as in
+  /// ScanSegments. The one per-slot loop of the row layout.
+  Status ScanPage(PageId pid, bool sequential, const uint32_t* slots,
+                  size_t n, std::vector<VersionKey>* keys,
+                  std::vector<Tuple>* rows);
+  /// The index path: each page's run of candidates is one selection vector.
+  Status ScanCandidates(std::vector<Tuple>* rows);
   /// True when `seg` should be served from its columnar image.
   bool ColumnarEligible(size_t seg) const;
   /// Serves one sealed segment from its columnar image; false means the
   /// image could not be built and the caller should fall back to row pages.
-  Result<bool> ScanColumnarSegment(size_t seg);
+  Result<bool> ScanColumnarSegment(size_t seg, std::vector<Tuple>* rows);
 
   VersionStore* const store_;
   TableObject* const obj_;
@@ -96,20 +94,11 @@ class SeqScanOperator : public Operator {
   const LockOwnerId owner_;
   const ScanLocking locking_;
 
-  std::vector<size_t> bound_predicate_;
-  int range_column_ = -1;  // index of spec_.range.column, -1 if full
-  std::vector<PackedProbe> packed_probes_;
-
-  size_t current_segment_ = 0;
-  std::vector<PageId> segment_pages_;
-  size_t current_page_ = 0;
-  std::deque<Tuple> batch_;
-  bool open_ = false;
-  bool exhausted_ = false;
+  std::vector<CompiledConjunct> conjuncts_;
+  std::vector<uint32_t> sel_;  // the current page's selection vector
 
   bool use_index_ = false;
   std::vector<RecordId> candidates_;
-  size_t current_candidate_ = 0;
 
   size_t segments_visited_ = 0;
   size_t segments_pruned_ = 0;

@@ -1,8 +1,8 @@
 #ifndef HARBOR_EXEC_VECTOR_SCAN_H_
 #define HARBOR_EXEC_VECTOR_SCAN_H_
 
-#include <deque>
-#include <memory>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "exec/scan_spec.h"
@@ -14,67 +14,77 @@ namespace harbor {
 /// code->rows adaptive index is built for it.
 inline constexpr uint32_t kAdaptiveIndexThreshold = 4;
 
+/// \brief One conjunct of a scan (a predicate comparison or the partition
+/// range), compiled once against its column's type.
+///
+/// Predicates compare through Value::operator<, which widens numerics to
+/// double. (double)x is monotone in an integer x, so each operator against
+/// any numeric constant (NaN and infinities included) keeps exactly one
+/// integer interval of x, or its complement: kInt tests that interval on the
+/// stored integer. kDouble keeps the double comparison; kChar compares
+/// strings, on packed bytes where that is provably the same.
+struct CompiledConjunct {
+  enum class Kind : uint8_t { kInt, kDouble, kChar };
+  Kind kind = Kind::kInt;
+  size_t col = 0;
+  CompareOp op = CompareOp::kEq;
+  Value rhs;  // the predicate's constant; unused by a range
+  // kInt: x qualifies iff (lo <= x && x <= hi) != negate; lo <= hi.
+  int64_t lo = 0;
+  int64_t hi = 0;
+  bool negate = false;
+  double num = 0.0;  // kDouble: the widened constant
+  // kChar: when set, `packed` is the constant NUL-padded to the column
+  // width, and memcmp on packed slots orders exactly as the unpacked
+  // strings do: the constant has no NUL and fits the width, and Tuple::Pack
+  // leaves only NULs after a slot's first NUL.
+  bool packable = false;
+  std::string packed;
+
+  /// The conjunct on one value of the column's type.
+  bool Matches(const Value& v) const;
+};
+
+/// Compiles the spec's predicate and partition range against `schema`: one
+/// conjunct per predicate comparison, in order, then the range's (when the
+/// range is not full). O(1) per conjunct except for integer columns compared
+/// with a constant of magnitude >= 2^53, which take a 64-step search. Fails
+/// when a column is missing, a conjunct compares CHAR with a number, or the
+/// range's column is not an integer.
+Result<std::vector<CompiledConjunct>> CompileConjuncts(const ScanSpec& spec,
+                                                       const Schema& schema);
+
+/// Keeps the entries of `sel` (slot numbers, ascending) whose packed tuple at
+/// `base + slot * stride` satisfies every conjunct; returns the new count.
+size_t FilterPackedSlots(const std::vector<CompiledConjunct>& conjuncts,
+                         const Schema& schema, const uint8_t* base,
+                         uint32_t stride, uint32_t* sel, size_t n);
+
 /// Outcome of one columnar segment scan (feeds SeqScanOperator's counters
 /// and the ablation bench).
 struct VectorScanResult {
   bool zone_pruned = false;
   bool used_adaptive_index = false;
-  size_t rows_scanned = 0;
+  size_t rows_scanned = 0;  // candidate rows the conjuncts examined
   size_t rows_matched = 0;
 };
 
-/// \brief Type-dispatched predicate evaluation over one encoded (columnar)
-/// segment.
+/// \brief Runs a compiled scan over one encoded (columnar) segment,
+/// appending qualifying rows to `out` in page/slot order, the row path's
+/// order.
 ///
-/// Semantics are exactly SeqScanOperator::EvaluateSlot's, restated over the
-/// encoded vectors:
-///  - dictionary columns evaluate the predicate once per *distinct value*
-///    (CompareValues over the dictionary), then filter rows by code lookup;
-///  - frame-of-reference and plain-double columns compare through the same
-///    double widening CompareValues applies to numerics;
 ///  - zone (min/max) stats prune whole segments before touching any row;
-///  - a hot equality column (>= kAdaptiveIndexThreshold probes) gets a
-///    per-segment code->rows index and subsequent scans walk only matches.
-/// Qualifying rows are materialized in page/slot order — the row path's
-/// order — with visibility / SEE-DELETED / HISTORICAL and the timestamp
-/// range conjuncts applied per row from the segment's mutable timestamp
-/// arrays.
-class ColumnarSegmentScanner {
- public:
-  /// `bound` are the spec predicate's pre-bound column indices;
-  /// `range_column` indexes spec.range's column (-1 when the range is full).
-  ColumnarSegmentScanner(std::shared_ptr<ColumnarSegment> seg,
-                         const ScanSpec* spec,
-                         const std::vector<size_t>* bound, int range_column);
-
-  /// Runs the scan, appending qualifying tuples to `out` in row order.
-  VectorScanResult Scan(std::deque<Tuple>* out);
-
- private:
-  struct ConjunctEval {
-    enum class Kind : uint8_t {
-      kCodeTable,      // dictionary column: per-code boolean table
-      kNumericFor,     // frame-of-reference integers vs numeric constant
-      kNumericDouble,  // plain doubles vs numeric constant
-      kGeneric,        // fallback: CompareValues on the materialized Value
-    };
-    Kind kind = Kind::kGeneric;
-    size_t col = 0;
-    CompareOp op = CompareOp::kEq;
-    const Value* rhs = nullptr;
-    double rhs_num = 0.0;
-    std::vector<uint8_t> code_ok;  // kCodeTable: dict-code -> qualifies
-  };
-
-  bool ZonePrunesSegment() const;
-  bool EvalRow(size_t row, const std::vector<ConjunctEval>& evals) const;
-  int64_t RangeKeyOf(size_t row) const;
-
-  const std::shared_ptr<ColumnarSegment> seg_;
-  const ScanSpec* const spec_;
-  const std::vector<size_t>* const bound_;
-  const int range_column_;
-};
+///  - the candidate rows are every row, or the adaptive index's row lists
+///    once a dictionary column saw >= kAdaptiveIndexThreshold eq probes;
+///  - each conjunct filters a selection vector of rows: dictionary columns
+///    through a per-code table, frame-of-reference columns by the integer
+///    interval shifted by the frame's base onto the codes, plain doubles
+///    by the double compare;
+///  - occupancy, visibility and the timestamp conjuncts read the segment's
+///    mutable arrays for the survivors only.
+VectorScanResult ScanColumnarImage(
+    ColumnarSegment* seg, const ScanSpec& spec,
+    const std::vector<CompiledConjunct>& conjuncts, std::vector<Tuple>* out);
 
 }  // namespace harbor
 

@@ -13,8 +13,8 @@ namespace {
 enum BlockTag : uint8_t { kRaw = 0, kDict = 1, kFor = 2 };
 
 /// CHAR values round-trip through the page representation on the per-tuple
-/// wire path (Pack truncates to width and pads with NULs; Unpack cuts at the
-/// first NUL). Normalizing here keeps the column-block path bit-identical.
+/// wire path (Pack cuts at the first NUL or the width and pads with NULs).
+/// Normalizing here keeps the column-block path bit-identical.
 std::string NormalizeChar(const std::string& s, uint32_t width) {
   std::string t = s.substr(0, width);
   const size_t nul = t.find('\0');

@@ -32,6 +32,8 @@ class FittedVector {
 
   uint8_t width() const { return width_; }
   size_t size() const { return n_; }
+  /// Entry i is the little-endian `width()`-byte word at data() + i*width().
+  const uint8_t* data() const { return bytes_.data(); }
   size_t byte_size() const { return bytes_.size(); }
 
  private:

@@ -40,15 +40,9 @@ Lsn HeapPage::page_lsn() const {
 
 void HeapPage::set_page_lsn(Lsn lsn) { std::memcpy(data_, &lsn, 8); }
 
-uint16_t HeapPage::capacity() const { return ReadU16(data_ + 8); }
-
 uint16_t HeapPage::occupied_count() const { return ReadU16(data_ + 10); }
 
 uint32_t HeapPage::BitmapBytes() const { return (capacity() + 7) / 8; }
-
-bool HeapPage::IsOccupied(uint16_t slot) const {
-  return (Bitmap()[slot / 8] >> (slot % 8)) & 1;
-}
 
 void HeapPage::SetOccupied(uint16_t slot, bool occupied) {
   uint8_t& byte = Bitmap()[slot / 8];

@@ -2,6 +2,7 @@
 #define HARBOR_STORAGE_HEAP_PAGE_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/result.h"
 #include "common/types.h"
@@ -37,10 +38,16 @@ class HeapPage {
   Lsn page_lsn() const;
   void set_page_lsn(Lsn lsn);
 
-  uint16_t capacity() const;
+  uint16_t capacity() const {
+    uint16_t cap;
+    std::memcpy(&cap, data_ + 8, sizeof(cap));
+    return cap;
+  }
   uint16_t occupied_count() const;
   bool full() const { return occupied_count() >= capacity(); }
-  bool IsOccupied(uint16_t slot) const;
+  bool IsOccupied(uint16_t slot) const {
+    return (Bitmap()[slot / 8] >> (slot % 8)) & 1;
+  }
 
   /// Pointer to the packed tuple bytes in `slot` (occupied or not).
   uint8_t* TupleData(uint16_t slot);

@@ -45,17 +45,6 @@ class SecondaryIndex {
     }
   }
 
-  /// All versions with `key`, across every segment, in segment order.
-  std::vector<RecordId> Lookup(int64_t key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<RecordId> out;
-    for (const auto& seg : segments_) {
-      auto [begin, end] = seg.equal_range(key);
-      for (auto it = begin; it != end; ++it) out.push_back(it->second);
-    }
-    return out;
-  }
-
   /// All versions with key in [lo, hi], across every segment.
   std::vector<RecordId> LookupRange(int64_t lo, int64_t hi) const {
     std::lock_guard<std::mutex> lock(mu_);

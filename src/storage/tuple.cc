@@ -1,5 +1,6 @@
 #include "storage/tuple.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace harbor {
@@ -24,8 +25,11 @@ void PackValue(const Column& col, const Value& v, uint8_t* out) {
       break;
     }
     case ColumnType::kChar: {
+      // The image holds the string up to its first NUL (where Unpack stops)
+      // and zeros after, so two images order as their unpacked strings do.
       const std::string& s = v.AsString();
-      size_t n = std::min<size_t>(s.size(), col.width);
+      const size_t n =
+          std::min<size_t>(std::min(s.find('\0'), s.size()), col.width);
       std::memcpy(out, s.data(), n);
       std::memset(out + n, 0, col.width - n);
       break;

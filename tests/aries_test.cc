@@ -122,7 +122,7 @@ class AriesSiteHarness {
     spec.mode = mode;
     spec.as_of = as_of;
     SeqScanOperator scan(store_.get(), obj(), spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     return rows->size();
   }

@@ -143,7 +143,7 @@ std::map<int64_t, int64_t> ReplicaRows(Cluster* cluster, int w,
   spec.mode = ScanMode::kVisible;
   spec.as_of = as_of;
   SeqScanOperator scan(worker->store(), obj, spec);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   auto mapping = SmallSchema().MappingFrom(obj->schema);
   HARBOR_CHECK_OK(mapping.status());

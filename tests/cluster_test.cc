@@ -105,7 +105,7 @@ TEST_P(AllProtocolsTest, CommitMakesDataVisibleOnAllReplicas) {
     spec.object_id = obj->object_id;
     spec.mode = ScanMode::kSeeDeleted;
     SeqScanOperator scan(w->store(), obj, spec);
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, scan.Collect());
     ASSERT_EQ(rows.size(), 2u);
     for (const Tuple& t : rows) {
       EXPECT_NE(t.insertion_ts(), kUncommittedTimestamp);
@@ -196,7 +196,7 @@ TEST(ClusterTest, UpdateIsDeletePlusInsert) {
   spec.object_id = obj->object_id;
   spec.mode = ScanMode::kSeeDeleted;
   SeqScanOperator scan(w->store(), obj, spec);
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> versions, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> versions, scan.Collect());
   ASSERT_EQ(versions.size(), 2u);
   EXPECT_EQ(versions[0].tuple_id(), versions[1].tuple_id());
 }
@@ -270,7 +270,7 @@ TEST(ClusterTest, NonIdenticalReplicasStayLogicallyEqual) {
     s.mode = ScanMode::kVisible;
     s.as_of = cluster->authority()->StableTime();
     SeqScanOperator scan(w->store(), obj, s);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     // Remap to logical order.
     auto mapping = SmallSchema().MappingFrom(obj->schema);

@@ -2,12 +2,14 @@
 // frame-of-reference / plain-double, zone stats), the vectorized scan's
 // equivalence with the row path under every visibility mode, write-through
 // of post-sealing mutations, the adaptive per-segment equality index, the
-// packed-byte row probes, and the compressed column-block wire codec.
+// exactness of compiled conjuncts on row pages and encoded segments, and
+// the compressed column-block wire codec.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -126,12 +128,11 @@ TEST(ColumnarSegmentTest, EmptySegmentBuilds) {
   Schema schema = SmallSchema();
   ASSERT_OK_AND_ASSIGN(auto seg, ColumnarSegment::Build(schema, 1, 4, {}));
   EXPECT_EQ(seg->num_rows(), 0u);
-  std::deque<Tuple> out;
+  std::vector<Tuple> out;
   ScanSpec spec;
   spec.mode = ScanMode::kSeeDeleted;
-  ASSERT_OK_AND_ASSIGN(auto bound, spec.predicate.Bind(schema));
-  ColumnarSegmentScanner scanner(seg, &spec, &bound, -1);
-  VectorScanResult r = scanner.Scan(&out);
+  ASSERT_OK_AND_ASSIGN(auto conjuncts, CompileConjuncts(spec, schema));
+  VectorScanResult r = ScanColumnarImage(seg.get(), spec, conjuncts, &out);
   EXPECT_EQ(r.rows_matched, 0u);
   EXPECT_TRUE(out.empty());
 }
@@ -191,6 +192,62 @@ TEST(ColumnarSegmentTest, NaNDropsDoubleZoneStats) {
 
 // ------------------------------------------------------- VectorScanTest
 
+constexpr CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                 CompareOp::kLt, CompareOp::kLe,
+                                 CompareOp::kGt, CompareOp::kGe};
+constexpr int64_t k2p53 = int64_t{1} << 53;
+
+Schema BoundarySchema() {
+  return Schema({Column::Int32("a"), Column::Int64("b"), Column::Double("x"),
+                 Column::Char("s", 4)});
+}
+
+// Numeric constants of every type at the boundaries of the double
+// widening: type extremes, +-2^53 +- 1, NaN, the infinities, -0.0,
+// fractions, and doubles that round onto the int64 extremes.
+std::vector<Value> NumericConstants() {
+  constexpr int32_t kI32Min = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kI32Max = std::numeric_limits<int32_t>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {Value(kI32Min),
+          Value(kI32Max),
+          Value(int32_t{-1}),
+          Value(int32_t{7}),
+          Value(std::numeric_limits<int64_t>::min()),
+          Value(std::numeric_limits<int64_t>::max()),
+          Value(std::numeric_limits<int64_t>::max() - 1),
+          Value(k2p53 - 1),
+          Value(k2p53),
+          Value(k2p53 + 1),
+          Value(-k2p53 - 1),
+          Value(-k2p53),
+          Value(int64_t{0}),
+          Value(int64_t{kI32Max} + 1),
+          Value(int64_t{kI32Min} - 1),
+          Value(std::nan("")),
+          Value(inf),
+          Value(-inf),
+          Value(-0.0),
+          Value(2.5),
+          Value(-2.5),
+          Value(9007199254740994.0),
+          Value(9223372036854775808.0),
+          Value(-9223372036854775808.0),
+          Value(2147483647.5),
+          Value(-2147483648.5)};
+}
+
+// CHAR(4) constants: empty, short, full-width, longer than the width, with
+// a trailing or inner NUL, and a high byte.
+std::vector<Value> CharConstants() {
+  return {Value(std::string("")),        Value(std::string("a")),
+          Value(std::string("ab")),      Value(std::string("abcd")),
+          Value(std::string("abcde")),   Value(std::string("ab\0", 3)),
+          Value(std::string("a\0b", 3)), Value(std::string("\xff")),
+          Value(std::string("b"))};
+}
+
+
 // A VersionStore-backed fixture: insert committed rows, seal segments, and
 // compare the columnar scan against the row path on the very same object.
 class VectorScanTest : public ::testing::Test {
@@ -224,11 +281,11 @@ class VectorScanTest : public ::testing::Test {
   std::vector<Tuple> ScanBothPathsExpectEqual(ScanSpec spec) {
     spec.object_id = 1;
     SeqScanOperator columnar(&store_, obj_, spec);
-    auto cols = CollectAll(&columnar);
+    auto cols = columnar.Collect();
     HARBOR_CHECK_OK(cols.status());
     obj_->columnar = false;  // force the row path for the reference scan
     SeqScanOperator row_scan(&store_, obj_, spec);
-    auto rows = CollectAll(&row_scan);
+    auto rows = row_scan.Collect();
     obj_->columnar = true;
     HARBOR_CHECK_OK(rows.status());
     EXPECT_EQ(cols->size(), rows->size());
@@ -241,6 +298,131 @@ class VectorScanTest : public ::testing::Test {
       EXPECT_EQ((*cols)[i].record_id(), (*rows)[i].record_id());
     }
     return std::move(*cols);
+  }
+
+  // An object of the boundary schema (INT32 a, INT64 b, DOUBLE x,
+  // CHAR(4) s) holding the values where the double widening is tight:
+  // dense runs near INT32_MIN/2^53, the type maxima and -2^53 (sealed
+  // frame-of-reference segments), a cycle through the extremes (a sealed
+  // dictionary segment), and an open tail of the same cycle. Doubles and
+  // strings cycle through NaN, infinities, -0.0, 2^53, 2^63, "", full-width,
+  // high-byte and inner-NUL strings.
+  TableObject* LoadBoundaryObject(ObjectId id, bool columnar) {
+    auto obj = catalog_.CreateObject(
+        id, id, "boundary" + std::to_string(id), BoundarySchema(),
+        PartitionRange::Full(), 64, /*indexed_column=*/"", columnar);
+    HARBOR_CHECK_OK(obj.status());
+    constexpr int32_t kI32Min = std::numeric_limits<int32_t>::min();
+    constexpr int32_t kI32Max = std::numeric_limits<int32_t>::max();
+    constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+    const std::vector<int32_t> a_cycle = {kI32Min, kI32Min + 1, -1, 0,
+                                          7,       kI32Max - 1, kI32Max};
+    const std::vector<int64_t> b_cycle = {
+        kI64Min,  kI64Min + 1,  -k2p53 - 1, -k2p53,     0,
+        k2p53 - 1, k2p53,       k2p53 + 1,  k2p53 + 2, kI64Max - 1,
+        kI64Max};
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> x_cycle = {
+        std::nan(""), inf,  -inf, -0.0, 0.0, 2.5, -2.5, 1e300,
+        9007199254740992.0, 9007199254740994.0, 9223372036854775808.0,
+        -9223372036854775808.0, 7.0, 2147483647.5};
+    // "a\0b" and "ab\0c" store the string up to the NUL ("a", "ab"), as
+    // their Unpack reads them, so packed-byte compares stay exact.
+    const std::vector<std::string> s_cycle = {
+        "",    "a",   "ab",   "abc",  "abcd", "abd", "b", "\xff", "\x01",
+        std::string("a\0b", 3), std::string("ab\0c", 4)};
+    TupleId tid = 0;
+    const auto load = [&](int32_t a, int64_t b) {
+      const size_t i = tid;
+      Tuple t({Value(a), Value(b), Value(x_cycle[i % x_cycle.size()]),
+               Value(s_cycle[i % s_cycle.size()])});
+      t.set_tuple_id(tid++);
+      t.set_insertion_ts(3);
+      HARBOR_CHECK_OK(store_.InsertCommittedTuple(*obj, t).status());
+    };
+    for (int i = 0; i < 120; ++i) load(kI32Min + i, k2p53 - 60 + i);
+    HARBOR_CHECK_OK((*obj)->file->StartNewSegment());
+    for (int i = 0; i < 120; ++i) load(kI32Max - i, kI64Max - i);
+    HARBOR_CHECK_OK((*obj)->file->StartNewSegment());
+    for (int i = 0; i < 120; ++i) load(i - 60, -k2p53 - 60 + i);
+    HARBOR_CHECK_OK((*obj)->file->StartNewSegment());
+    for (size_t i = 0; i < 154; ++i) {
+      load(a_cycle[i % a_cycle.size()], b_cycle[i % b_cycle.size()]);
+    }
+    HARBOR_CHECK_OK((*obj)->file->StartNewSegment());
+    for (size_t i = 0; i < 40; ++i) {
+      load(a_cycle[(i * 3) % a_cycle.size()], b_cycle[(i * 5) % b_cycle.size()]);
+    }
+    return *obj;
+  }
+
+  // Runs every operator with every boundary constant (and a set of
+  // partition ranges) through Collect() and ScanKeys() on `obj`, and
+  // expects exactly the rows Predicate::EvalBound keeps among the unpacked
+  // tuples of a predicate-free scan of the row-format `reference`.
+  void ExpectEveryConjunctMatchesReference(TableObject* obj,
+                                           TableObject* reference) {
+    ScanSpec all;
+    all.object_id = reference->object_id;
+    all.mode = ScanMode::kSeeDeleted;
+    SeqScanOperator full(&store_, reference, all);
+    ASSERT_OK_AND_ASSIGN(const std::vector<Tuple> everything, full.Collect());
+    ASSERT_EQ(everything.size(), 554u);
+    const auto check = [&](const ScanSpec& spec, const std::string& label) {
+      ASSERT_OK_AND_ASSIGN(auto bound, spec.predicate.Bind(obj->schema));
+      std::vector<TupleId> want;
+      for (const Tuple& t : everything) {
+        const Value& key = t.value(spec.range.column == "a" ? 0 : 1);
+        if (!spec.range.IsFull() &&
+            !spec.range.Contains(key.type() == ColumnType::kInt32
+                                     ? key.AsInt32()
+                                     : key.AsInt64())) {
+          continue;
+        }
+        if (spec.predicate.EvalBound(bound, t)) want.push_back(t.tuple_id());
+      }
+      SeqScanOperator scan(&store_, obj, spec);
+      ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
+      std::vector<TupleId> got;
+      for (const Tuple& t : rows) got.push_back(t.tuple_id());
+      EXPECT_EQ(got, want) << label;
+      SeqScanOperator key_scan(&store_, obj, spec);
+      ASSERT_OK_AND_ASSIGN(auto keys, key_scan.ScanKeys());
+      std::vector<TupleId> key_ids;
+      for (const VersionKey& k : keys) key_ids.push_back(k.tuple_id);
+      EXPECT_EQ(key_ids, want) << label << " (key scan)";
+    };
+    for (const char* col : {"a", "b", "x", "s"}) {
+      const bool is_char = std::string(col) == "s";
+      for (const Value& rhs : is_char ? CharConstants() : NumericConstants()) {
+        for (CompareOp op : kAllOps) {
+          ScanSpec spec;
+          spec.object_id = obj->object_id;
+          spec.mode = ScanMode::kSeeDeleted;
+          spec.predicate.And(col, op, rhs);
+          check(spec, spec.predicate.ToString() + " [" +
+                          ColumnTypeToString(rhs.type()) + "]");
+        }
+      }
+    }
+    constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+    for (const PartitionRange& r :
+         {PartitionRange::On("b", kI64Min, kI64Max),
+          PartitionRange::On("b", k2p53 - 10, k2p53 + 2),
+          PartitionRange::On("b", kI64Max - 5, kI64Max),
+          PartitionRange::On("a", kI64Min, 0), PartitionRange::On("a", 5, 5),
+          PartitionRange::On("a", -3, int64_t{1} << 40)}) {
+      ScanSpec spec;
+      spec.object_id = obj->object_id;
+      spec.mode = ScanMode::kSeeDeleted;
+      spec.range = r;
+      spec.predicate.And(
+          "x", CompareOp::kGe,
+          Value(-std::numeric_limits<double>::infinity()));
+      check(spec, r.ToString());
+    }
   }
 
   obs::Metrics metrics_;  // declared first: the pool and locks use it
@@ -262,7 +444,7 @@ TEST_F(VectorScanTest, SealedSegmentsServedColumnarly) {
   spec.object_id = 1;
   spec.mode = ScanMode::kSeeDeleted;
   SeqScanOperator scan(&store_, obj_, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   EXPECT_EQ(rows.size(), 250u);
   EXPECT_EQ(scan.columnar_segments(), 1u);   // the sealed segment
   EXPECT_GT(scan.pages_visited(), 0u);       // the open tail's pages
@@ -271,7 +453,7 @@ TEST_F(VectorScanTest, SealedSegmentsServedColumnarly) {
 
   // A second scan reuses the cached image.
   SeqScanOperator again(&store_, obj_, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows2, CollectAll(&again));
+  ASSERT_OK_AND_ASSIGN(auto rows2, again.Collect());
   EXPECT_EQ(rows2.size(), 250u);
   EXPECT_EQ(obj_->columnar_cache.builds(), 1u);
 }
@@ -336,6 +518,30 @@ TEST_F(VectorScanTest, PredicatesAndRangeMatchRowPath) {
   range.mode = ScanMode::kSeeDeleted;
   range.range = PartitionRange::On("id", 10, 20);
   EXPECT_EQ(ScanBothPathsExpectEqual(range).size(), 60u);
+
+  // Every operator and boundary constant on frame-of-reference, dictionary
+  // and plain-double segments equals EvalBound on the row-format copy.
+  TableObject* reference = LoadBoundaryObject(3, /*columnar=*/false);
+  TableObject* columnar = LoadBoundaryObject(4, /*columnar=*/true);
+  ExpectEveryConjunctMatchesReference(columnar, reference);
+  using Encoding = EncodedColumn::Encoding;
+  const std::vector<std::vector<Encoding>> expected = {
+      {Encoding::kFrameOfReference, Encoding::kFrameOfReference,
+       Encoding::kPlainDouble, Encoding::kDictionary},
+      {Encoding::kFrameOfReference, Encoding::kFrameOfReference,
+       Encoding::kPlainDouble, Encoding::kDictionary},
+      {Encoding::kFrameOfReference, Encoding::kFrameOfReference,
+       Encoding::kPlainDouble, Encoding::kDictionary},
+      {Encoding::kDictionary, Encoding::kDictionary, Encoding::kPlainDouble,
+       Encoding::kDictionary}};
+  for (size_t seg = 0; seg < expected.size(); ++seg) {
+    auto image = columnar->columnar_cache.Get(seg);
+    ASSERT_NE(image, nullptr) << "segment " << seg;
+    for (size_t c = 0; c < expected[seg].size(); ++c) {
+      EXPECT_EQ(image->column(c).encoding, expected[seg][c])
+          << "segment " << seg << " column " << c;
+    }
+  }
 }
 
 TEST_F(VectorScanTest, ZoneStatsPruneDisjointSegments) {
@@ -351,7 +557,7 @@ TEST_F(VectorScanTest, ZoneStatsPruneDisjointSegments) {
   spec.mode = ScanMode::kSeeDeleted;
   spec.predicate.And("id", CompareOp::kEq, Value(int64_t{2050}));
   SeqScanOperator scan(&store_, obj_, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   EXPECT_EQ(rows.size(), 1u);
   EXPECT_EQ(scan.columnar_segments(), 3u);
   EXPECT_EQ(scan.zone_pruned_segments(), 2u);  // segments 0 and 1
@@ -363,7 +569,7 @@ TEST_F(VectorScanTest, ZoneStatsPruneDisjointSegments) {
   range.mode = ScanMode::kSeeDeleted;
   range.range = PartitionRange::On("id", 0, 500);
   SeqScanOperator rscan(&store_, obj_, range);
-  ASSERT_OK_AND_ASSIGN(auto rrows, CollectAll(&rscan));
+  ASSERT_OK_AND_ASSIGN(auto rrows, rscan.Collect());
   EXPECT_EQ(rrows.size(), 100u);
   EXPECT_EQ(rscan.zone_pruned_segments(), 2u);
 }
@@ -383,7 +589,7 @@ TEST_F(VectorScanTest, AdaptiveIndexBuildsAfterRepeatedEqProbes) {
   size_t indexed_runs = 0;
   for (uint32_t probe = 0; probe < kAdaptiveIndexThreshold + 2; ++probe) {
     SeqScanOperator scan(&store_, obj_, spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     EXPECT_EQ(rows.size(), 40u) << "probe " << probe;
     indexed_runs += scan.adaptive_index_probes();
   }
@@ -405,7 +611,7 @@ TEST_F(VectorScanTest, PostSealingMutationsWriteThrough) {
   all.mode = ScanMode::kSeeDeleted;
   {
     SeqScanOperator scan(&store_, obj_, all);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     ASSERT_EQ(rows.size(), 50u);
   }
   ASSERT_EQ(obj_->columnar_cache.builds(), 1u);
@@ -414,7 +620,7 @@ TEST_F(VectorScanTest, PostSealingMutationsWriteThrough) {
   // without a rebuild.
   ASSERT_OK_AND_ASSIGN(auto rows, [&]() -> Result<std::vector<Tuple>> {
     SeqScanOperator scan(&store_, obj_, all);
-    return CollectAll(&scan);
+    return scan.Collect();
   }());
   RecordId victim = rows[7].record_id();
   ASSERT_OK(store_.SetDeletionTs(obj_, victim, 9));
@@ -451,7 +657,7 @@ TEST_F(VectorScanTest, CommitAndRollbackStampThroughSealedSegments) {
   Seal();  // the uncommitted tuple is now in a sealed segment
   {
     SeqScanOperator scan(&store_, obj_, all);  // caches the sealed image
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     EXPECT_EQ(rows.size(), 11u);
   }
   ASSERT_OK(store_.StampCommit(committer.get(), 20));
@@ -464,7 +670,7 @@ TEST_F(VectorScanTest, CommitAndRollbackStampThroughSealedSegments) {
   Seal();
   {
     SeqScanOperator scan(&store_, obj_, all);  // caches the second image
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     EXPECT_EQ(rows.size(), 12u);
   }
   ASSERT_OK(store_.RollbackTransaction(aborter.get()));
@@ -496,7 +702,7 @@ TEST_F(VectorScanTest, StragglerInsertIntoSealedSegmentInvalidates) {
   all.mode = ScanMode::kSeeDeleted;
   {
     SeqScanOperator scan(&store_, obj_, all);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     EXPECT_EQ(rows.size(), 5u);
   }
   ASSERT_EQ(obj_->columnar_cache.cached_segments(), 1u);
@@ -504,7 +710,7 @@ TEST_F(VectorScanTest, StragglerInsertIntoSealedSegmentInvalidates) {
   EXPECT_EQ(obj_->columnar_cache.cached_segments(), 0u);
   {
     SeqScanOperator scan(&store_, obj_, all);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     EXPECT_EQ(rows.size(), 5u);
   }
   EXPECT_EQ(obj_->columnar_cache.builds(), 2u);
@@ -519,7 +725,7 @@ TEST_F(VectorScanTest, PageLockScansAcquireSegmentLocks) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = 10;
   SeqScanOperator scan(&store_, obj_, spec, kOwner, ScanLocking::kPageLocks);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   EXPECT_EQ(rows.size(), 50u);
   EXPECT_EQ(scan.columnar_segments(), 1u);
   // The sealed segment's pages are S-locked even though no page was read.
@@ -528,55 +734,88 @@ TEST_F(VectorScanTest, PageLockScansAcquireSegmentLocks) {
   EXPECT_EQ(locks_.NumLockedResources(), 0u);
 }
 
-// ------------------------------------------------- packed row-byte probes
+// ------------------------------------------------- compiled-scan exactness
 
 TEST_F(VectorScanTest, PackedProbesMatchFullPredicateOnRowPath) {
-  // Row-format object: negative ints, doubles, and char predicates mixed.
-  auto obj2 = catalog_.CreateObject(
-      2, 2, "probe", Schema({Column::Int32("a"), Column::Double("x"),
-                             Column::Char("s", 4)}),
-      PartitionRange::Full(), 4);
+  // Row-format object: every operator and boundary constant on INT32,
+  // INT64, DOUBLE and CHAR columns, through Collect() and ScanKeys().
+  TableObject* rows = LoadBoundaryObject(2, /*columnar=*/false);
+  ExpectEveryConjunctMatchesReference(rows, rows);
+}
+
+TEST_F(VectorScanTest, CompiledConjunctsMatchCompareValues) {
+  // The compiled interval of an integer conjunct agrees with CompareValues
+  // on the integers around every boundary, including those only the
+  // search (constants beyond 2^53, NaN, infinities) resolves.
+  const Schema schema = BoundarySchema();
+  std::vector<int64_t> probes;
+  for (int64_t center :
+       {std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+        int64_t{std::numeric_limits<int32_t>::min()},
+        int64_t{std::numeric_limits<int32_t>::max()}, -k2p53, k2p53,
+        int64_t{0}, int64_t{7}, int64_t{2}, int64_t{-2},
+        std::numeric_limits<int64_t>::max() - 512,
+        std::numeric_limits<int64_t>::min() + 512}) {
+    for (int64_t d = -3; d <= 3; ++d) {
+      const int64_t x = static_cast<int64_t>(static_cast<uint64_t>(center) +
+                                             static_cast<uint64_t>(d));
+      if ((d < 0) == (x < center)) probes.push_back(x);  // no wrap-around
+    }
+  }
+  for (const char* col : {"a", "b"}) {
+    const bool is_int32 = std::string(col) == "a";
+    for (const Value& rhs : NumericConstants()) {
+      for (CompareOp op : kAllOps) {
+        ScanSpec spec;
+        spec.predicate.And(col, op, rhs);
+        ASSERT_OK_AND_ASSIGN(auto conjuncts, CompileConjuncts(spec, schema));
+        ASSERT_EQ(conjuncts.size(), 1u);
+        for (int64_t x : probes) {
+          if (is_int32 && (x < std::numeric_limits<int32_t>::min() ||
+                           x > std::numeric_limits<int32_t>::max())) {
+            continue;
+          }
+          const Value v =
+              is_int32 ? Value(static_cast<int32_t>(x)) : Value(x);
+          EXPECT_EQ(conjuncts[0].Matches(v), CompareValues(v, op, rhs))
+              << col << " = " << x << ": " << spec.predicate.ToString();
+        }
+      }
+    }
+  }
+  // CHAR against a number is refused at compile time, either way round.
+  ScanSpec mixed;
+  mixed.predicate.And("s", CompareOp::kLt, Value(int64_t{1}));
+  EXPECT_TRUE(CompileConjuncts(mixed, schema).status().IsInvalidArgument());
+  ScanSpec mixed2;
+  mixed2.predicate.And("a", CompareOp::kEq, Value(std::string("1")));
+  EXPECT_TRUE(CompileConjuncts(mixed2, schema).status().IsInvalidArgument());
+}
+
+TEST_F(VectorScanTest, IndexProbeTakesEveryNumericConstant) {
+  // An equality on the secondary-indexed column probes the index with its
+  // compiled interval, so a DOUBLE or INT32 constant finds the same rows as
+  // an INT64 one. A fractional constant equals no integer: its scan takes
+  // the full path and finds nothing.
+  auto obj2 = catalog_.CreateObject(5, 5, "indexed", SmallSchema(),
+                                    PartitionRange::Full(), 4, "qty");
   HARBOR_CHECK_OK(obj2.status());
-  for (int i = 0; i < 500; ++i) {
-    Tuple t({Value(int32_t{i - 250}), Value(0.25 * i - 30.0),
-             Value(std::string(i % 3 ? "ab" : "cd"))});
+  for (int i = 0; i < 40; ++i) {
+    Tuple t(SmallRow(i, i % 8, "x"));
     t.set_tuple_id(static_cast<TupleId>(i));
     t.set_insertion_ts(3);
     HARBOR_CHECK_OK(store_.InsertCommittedTuple(*obj2, t).status());
   }
-  struct Case {
-    const char* col;
-    CompareOp op;
-    Value rhs;
-  };
-  const std::vector<Case> cases = {
-      {"a", CompareOp::kLt, Value(int32_t{-100})},
-      {"a", CompareOp::kGe, Value(int64_t{200})},   // widened constant
-      {"x", CompareOp::kGt, Value(30.0)},
-      {"x", CompareOp::kLe, Value(int64_t{-10})},   // int constant vs double
-      {"s", CompareOp::kEq, Value(std::string("cd"))},  // no packed probe
-  };
-  for (const Case& c : cases) {
+  for (const Value& rhs : {Value(int64_t{7}), Value(int32_t{7}), Value(7.0),
+                           Value(7.5), Value(int64_t{1} << 60)}) {
     ScanSpec spec;
-    spec.object_id = 2;
+    spec.object_id = 5;
     spec.mode = ScanMode::kSeeDeleted;
-    spec.predicate.And(c.col, c.op, c.rhs);
+    spec.predicate.And("qty", CompareOp::kEq, rhs);
     SeqScanOperator scan(&store_, *obj2, spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
-    // Reference: evaluate the same predicate on fully unpacked tuples.
-    ScanSpec all;
-    all.object_id = 2;
-    all.mode = ScanMode::kSeeDeleted;
-    SeqScanOperator full(&store_, *obj2, all);
-    ASSERT_OK_AND_ASSIGN(auto everything, CollectAll(&full));
-    size_t expected = 0;
-    ASSERT_OK_AND_ASSIGN(auto bound, spec.predicate.Bind((*obj2)->schema));
-    for (const Tuple& t : everything) {
-      if (spec.predicate.EvalBound(bound, t)) ++expected;
-    }
-    EXPECT_EQ(rows.size(), expected) << c.col;
-    EXPECT_GT(rows.size(), 0u) << c.col;
-    EXPECT_LT(rows.size(), everything.size()) << c.col;
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
+    EXPECT_EQ(scan.used_index(), rhs.AsNumeric() != 7.5) << rhs.ToString();
+    EXPECT_EQ(rows.size(), rhs.AsNumeric() == 7.0 ? 5u : 0u) << rhs.ToString();
   }
 }
 

@@ -380,6 +380,43 @@ TEST_F(PlacementTest, PlaceTableRejectsInvalidSpecs) {
   EXPECT_TRUE(catalog_.KSafety(table_).status().IsNotFound());  // unplaced
 }
 
+// Partition keys route and scan as integers, so a partition on a DOUBLE or
+// CHAR column is refused where it enters the catalog, before any replica.
+TEST_F(PlacementTest, PartitionsOnNonIntegerColumnsAreRejected) {
+  ASSERT_OK_AND_ASSIGN(
+      TableId t, catalog_.AddTable("prices",
+                                   Schema({Column::Int32("id"),
+                                           Column::Double("price"),
+                                           Column::Char("name", 8)})));
+  ASSERT_OK_AND_ASSIGN(const TableDef* def, catalog_.GetTable(t));
+  PlacementSpec spec;
+  spec.replication_factor = 2;
+  spec.shards = 2;
+  spec.domain_lo = 0;
+  spec.domain_hi = 100;
+  for (const char* column : {"price", "name"}) {
+    spec.shard_column = column;
+    EXPECT_TRUE(catalog_.PlaceTable(t, {1, 2, 3}, spec).status()
+                    .IsInvalidArgument())
+        << column;
+    EXPECT_TRUE(catalog_
+                    .AddReplica(t, 1, PartitionRange::On(column, 0, 50),
+                                def->logical_schema, 64)
+                    .status()
+                    .IsInvalidArgument())
+        << column;
+  }
+  EXPECT_TRUE(catalog_
+                  .AddReplica(t, 1, PartitionRange::On("missing", 0, 50),
+                              def->logical_schema, 64)
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(def->replicas.empty());
+  spec.shard_column = "id";  // INT32 partitions are accepted
+  ASSERT_OK_AND_ASSIGN(auto objects, catalog_.PlaceTable(t, {1, 2, 3}, spec));
+  EXPECT_EQ(objects.size(), 4u);
+}
+
 TEST_F(PlacementTest, ReplicasCoveringAgreesWithPlanCoverAndRotates) {
   PlacementSpec spec;
   spec.replication_factor = 3;

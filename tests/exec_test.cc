@@ -1,13 +1,11 @@
 // Unit tests for the executor: scan modes and segment pruning, key scans
-// and recovery chunk selection, predicates, aggregation, and the DML
-// executors.
+// and recovery chunk selection, predicates, and the DML executors.
 
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
 #include "core/cluster.h"
 #include "exec/dml.h"
-#include "exec/operators.h"
 #include "exec/predicate.h"
 #include "exec/seq_scan.h"
 #include "tests/test_util.h"
@@ -141,7 +139,7 @@ TEST_F(ExecTest, VisibleScanAppliesSnapshot) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = 3;
   auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
   // At time 3: tuple 1 (ins 2) and tuple 3 (deleted at 4, still visible).
   EXPECT_EQ(rows.size(), 2u);
 }
@@ -154,7 +152,7 @@ TEST_F(ExecTest, HistoricalSeeDeletedMasksFutureDeletions) {
   spec.mode = ScanMode::kSeeDeletedHistorical;
   spec.as_of = 10;
   auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
   // Insertion at 11 invisible; deletion at 11 appears undone (§5.3).
   ASSERT_EQ(rows.size(), 2u);
   for (const Tuple& t : rows) {
@@ -173,7 +171,7 @@ TEST_F(ExecTest, TimestampRangePredicates) {
     spec.has_insertion_after = true;
     spec.insertion_after = 4;
     auto scan = Scan(spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
     EXPECT_EQ(rows.size(), 2u);
   }
   {
@@ -184,7 +182,7 @@ TEST_F(ExecTest, TimestampRangePredicates) {
     spec.has_deletion_after = true;
     spec.deletion_after = 0;
     auto scan = Scan(spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
     EXPECT_TRUE(rows.empty());  // only tuple 3 is deleted but ins 8 > 5
   }
 }
@@ -200,13 +198,13 @@ TEST_F(ExecTest, UncommittedSentinelMatchesInsertionAfter) {
   spec.insertion_after = 1000;  // uncommitted sentinel > any timestamp
   {
     auto scan = Scan(spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
     EXPECT_EQ(rows.size(), 1u);
   }
   spec.exclude_uncommitted = true;  // §5.4.1's != uncommitted
   {
     auto scan = Scan(spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
     EXPECT_TRUE(rows.empty());
   }
 }
@@ -223,7 +221,7 @@ TEST_F(ExecTest, SegmentPruningSkipsIrrelevantSegments) {
   spec.has_insertion_after = true;
   spec.insertion_after = 2;  // only the last batch (ts 3)
   SeqScanOperator scan(&store_, obj_, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   EXPECT_EQ(rows.size(), 150u);
   EXPECT_GT(scan.segments_pruned(), 0u);
   EXPECT_LT(scan.segments_visited(), obj_->file->num_segments());
@@ -235,26 +233,8 @@ TEST_F(ExecTest, PartitionRangeFiltersRows) {
   spec.mode = ScanMode::kSeeDeleted;
   spec.range = PartitionRange::On("id", 5, 12);
   auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
   EXPECT_EQ(rows.size(), 7u);
-}
-
-TEST_F(ExecTest, RewindRestartsScan) {
-  for (int i = 0; i < 5; ++i) Load(static_cast<TupleId>(i), i, 1);
-  ScanSpec spec;
-  spec.mode = ScanMode::kSeeDeleted;
-  SeqScanOperator scan(&store_, obj_, spec);
-  ASSERT_OK(scan.Open());
-  ASSERT_OK_AND_ASSIGN(auto first, scan.Next());
-  ASSERT_TRUE(first.has_value());
-  ASSERT_OK(scan.Rewind());
-  int count = 0;
-  while (true) {
-    ASSERT_OK_AND_ASSIGN(auto t, scan.Next());
-    if (!t.has_value()) break;
-    ++count;
-  }
-  EXPECT_EQ(count, 5);
 }
 
 // ------------------------------------------------- chunked scan collection
@@ -376,7 +356,7 @@ TEST_F(ExecTest, KeyScanSelectsTheRowsOfTheTupleScan) {
   for (size_t s = 0; s < specs.size(); ++s) {
     SCOPED_TRACE("spec " + std::to_string(s));
     auto rows_scan = Scan(specs[s]);
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, CollectAll(rows_scan.get()));
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows, rows_scan->Collect());
     auto key_scan = Scan(specs[s]);
     ASSERT_OK_AND_ASSIGN(std::vector<VersionKey> keys, key_scan->ScanKeys());
     ASSERT_EQ(keys.size(), rows.size());
@@ -385,40 +365,6 @@ TEST_F(ExecTest, KeyScanSelectsTheRowsOfTheTupleScan) {
     EXPECT_EQ(read, rows);  // both in storage order
   }
 }
-
-// ----------------------------------------------------------- aggregation
-
-TEST_F(ExecTest, AggregateGroupsAndFunctions) {
-  // ids 0..9, qty = 2*id; group by parity via name column.
-  for (int i = 0; i < 10; ++i) {
-    Tuple t(SmallRow(i, 0, i % 2 == 0 ? "even" : "odd"));
-    t.set_tuple_id(static_cast<TupleId>(i));
-    t.set_insertion_ts(1);
-    *t.mutable_value(1) = Value(int64_t{i * 2});
-    HARBOR_CHECK_OK(store_.InsertCommittedTuple(obj_, t).status());
-  }
-  ScanSpec spec;
-  spec.mode = ScanMode::kVisible;
-  spec.as_of = 1;
-  AggregateOperator agg(Scan(spec), {"name"},
-                        {AggSpec{AggFunc::kCount, ""},
-                         AggSpec{AggFunc::kSum, "qty"},
-                         AggSpec{AggFunc::kMin, "id"},
-                         AggSpec{AggFunc::kMax, "id"},
-                         AggSpec{AggFunc::kAvg, "qty"}});
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&agg));
-  ASSERT_EQ(rows.size(), 2u);
-  for (const Tuple& t : rows) {
-    const bool even = t.value(0).AsString() == "even";
-    EXPECT_EQ(t.value(1).AsDouble(), 5.0);                    // count
-    EXPECT_EQ(t.value(2).AsDouble(), even ? 40.0 : 50.0);     // sum
-    EXPECT_EQ(t.value(3).AsDouble(), even ? 0.0 : 1.0);       // min
-    EXPECT_EQ(t.value(4).AsDouble(), even ? 8.0 : 9.0);       // max
-    EXPECT_EQ(t.value(5).AsDouble(), even ? 8.0 : 10.0);      // avg
-  }
-}
-
-// ------------------------------------------------------------------- DML
 
 TEST_F(ExecTest, ExecInsertRemapsColumnsByName) {
   // Object with permuted physical schema.
@@ -436,7 +382,7 @@ TEST_F(ExecTest, ExecInsertRemapsColumnsByName) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = 2;
   SeqScanOperator scan(&store_, *obj2, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   ASSERT_EQ(rows.size(), 1u);
   // Physical order: name, id, qty.
   EXPECT_EQ(rows[0].value(0).AsString(), "abc");
@@ -461,7 +407,7 @@ TEST_F(ExecTest, ExecUpdatePreservesTupleId) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = 5;
   auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].value(1).AsInt64(), 1000);
   EXPECT_EQ(rows[0].tuple_id(), 42u);
@@ -480,7 +426,7 @@ TEST_F(ExecTest, ExecDeleteCountsMatches) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = 3;
   auto scan = Scan(spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(scan.get()));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan->Collect());
   EXPECT_EQ(rows.size(), 6u);
 }
 

@@ -76,7 +76,7 @@ TEST(OnePhaseCommitTest, RecoveryStillWorks) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = cluster->authority()->StableTime();
   SeqScanOperator scan(w->store(), obj, spec);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   EXPECT_EQ(rows.size(), 40u);
 }
 
@@ -162,7 +162,7 @@ TEST(MultiCoordinatorTest, RecoveryWaitsOutPendingLockHolders) {
     spec.mode = ScanMode::kVisible;
     spec.as_of = cluster->authority()->StableTime();
     SeqScanOperator scan(w->store(), obj, spec);
-    ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+    ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
     rows_seen = rows.size();
     if (rows_seen == 12u) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

@@ -243,7 +243,7 @@ std::set<int64_t> VisibleIds(Cluster* cluster, int w, Timestamp as_of) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = as_of;
   SeqScanOperator scan(worker->store(), obj, spec);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   auto mapping = SmallSchema().MappingFrom(obj->schema);
   HARBOR_CHECK_OK(mapping.status());

@@ -24,17 +24,17 @@ TEST(SecondaryIndexTest, InsertLookupRemovePerSegment) {
   index.Insert(1, 100, r1);  // same key, different segment
   index.Insert(1, 200, r2);
 
-  EXPECT_EQ(index.Lookup(100).size(), 2u);
-  EXPECT_EQ(index.Lookup(200).size(), 1u);
-  EXPECT_TRUE(index.Lookup(300).empty());
+  EXPECT_EQ(index.LookupRange(100, 100).size(), 2u);
+  EXPECT_EQ(index.LookupRange(200, 200).size(), 1u);
+  EXPECT_TRUE(index.LookupRange(300, 300).empty());
   EXPECT_EQ(index.size(), 3u);
 
   index.Remove(0, 100, r0);
-  ASSERT_EQ(index.Lookup(100).size(), 1u);
-  EXPECT_EQ(index.Lookup(100)[0], r1);
+  ASSERT_EQ(index.LookupRange(100, 100).size(), 1u);
+  EXPECT_EQ(index.LookupRange(100, 100)[0], r1);
   // Removing from the wrong segment is a no-op.
   index.Remove(0, 200, r2);
-  EXPECT_EQ(index.Lookup(200).size(), 1u);
+  EXPECT_EQ(index.LookupRange(200, 200).size(), 1u);
 }
 
 TEST(SecondaryIndexTest, RangeLookup) {
@@ -78,7 +78,7 @@ class IndexedClusterTest : public ::testing::Test {
     spec.as_of = cluster_->authority()->StableTime();
     spec.predicate = std::move(p);
     SeqScanOperator scan(w->store(), obj, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     return {std::move(rows).value(), scan.used_index(),
             scan.pages_visited()};

@@ -46,7 +46,7 @@ size_t VisibleRows(Cluster* cluster, int w) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = cluster->authority()->StableTime();
   SeqScanOperator scan(worker->store(), obj, spec);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   return rows->size();
 }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 namespace harbor {
 namespace {
 
+using test::SmallRow;
 using test::SmallSchema;
 
 // In-memory reference: key -> (qty, alive) per snapshot.
@@ -46,7 +49,7 @@ Snapshot ReplicaSnapshot(Cluster* cluster, int w, Timestamp as_of) {
   spec.mode = ScanMode::kVisible;
   spec.as_of = as_of;
   SeqScanOperator scan(worker->store(), obj, spec);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   auto mapping = SmallSchema().MappingFrom(obj->schema);
   HARBOR_CHECK_OK(mapping.status());
@@ -78,15 +81,17 @@ using ScanImage = std::map<std::pair<TupleId, Timestamp>, std::vector<uint8_t>>;
 
 ScanImage ReplicaScanImage(Cluster* cluster, int w, Timestamp as_of,
                            ScanLocking locking, LockOwnerId owner = 0,
-                           ScanMode mode = ScanMode::kVisible) {
+                           ScanMode mode = ScanMode::kVisible,
+                           const Predicate& predicate = Predicate()) {
   Worker* worker = cluster->worker(w);
   TableObject* obj = worker->local_catalog()->objects()[0];
   ScanSpec spec;
   spec.object_id = obj->object_id;
   spec.mode = mode;
   spec.as_of = as_of;
+  spec.predicate = predicate;
   SeqScanOperator scan(worker->store(), obj, spec, owner, locking);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   ScanImage image;
   std::vector<uint8_t> buf(obj->schema.tuple_bytes());
@@ -95,6 +100,42 @@ ScanImage ReplicaScanImage(Cluster* cluster, int w, Timestamp as_of,
     image[{t.tuple_id(), t.insertion_ts()}] = buf;
   }
   return image;
+}
+
+// One or two random payload conjuncts over SmallSchema (id, qty, name):
+// any operator, with constants of every numeric type near the data, at the
+// type extremes, NaN and the infinities.
+Predicate RandomPayloadPredicate(Random* rng) {
+  constexpr CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                CompareOp::kLt, CompareOp::kLe,
+                                CompareOp::kGt, CompareOp::kGe};
+  Predicate p;
+  const int n = 1 + static_cast<int>(rng->Uniform(2));
+  for (int i = 0; i < n; ++i) {
+    const CompareOp op = kOps[rng->Uniform(6)];
+    if (rng->OneIn(0.25)) {
+      const char* names[] = {"c", "", "b", "ghost", "cc"};
+      p.And("name", op, Value(std::string(names[rng->Uniform(5)])));
+      continue;
+    }
+    const int64_t k = rng->UniformRange(-5, 1005);
+    Value rhs;
+    switch (rng->Uniform(6)) {
+      case 0: rhs = Value(static_cast<int32_t>(k)); break;
+      case 1: rhs = Value(k); break;
+      case 2: rhs = Value(static_cast<double>(k) + 0.5); break;
+      case 3: rhs = Value(std::nan("")); break;
+      case 4:
+        rhs = Value(rng->OneIn(0.5) ? std::numeric_limits<int64_t>::max()
+                                    : std::numeric_limits<int64_t>::min());
+        break;
+      default:
+        rhs = Value(rng->OneIn(0.5) ? std::numeric_limits<double>::infinity()
+                                    : -std::numeric_limits<double>::infinity());
+    }
+    p.And(rng->OneIn(0.5) ? "id" : "qty", op, rhs);
+  }
+  return p;
 }
 
 class RandomWorkloadTest : public ::testing::TestWithParam<uint64_t> {};
@@ -480,6 +521,24 @@ TEST_P(RandomWorkloadTest, ColumnarReplicaBitEqualsRowReplicaAcrossModes) {
         ReplicaScanImage(cluster.get(), 1, ts, ScanLocking::kNone, 0,
                          ScanMode::kSeeDeletedHistorical);
     EXPECT_EQ(row_hist, col_hist) << "historical" << at;
+    // Random payload predicates: both formats keep the same versions, and
+    // exactly the reference rows the predicate accepts.
+    for (int q = 0; q < 4; ++q) {
+      const Predicate pred = RandomPayloadPredicate(&rng);
+      ScanImage row_q = ReplicaScanImage(cluster.get(), 0, ts,
+                                         ScanLocking::kSnapshot, 0,
+                                         ScanMode::kVisible, pred);
+      ScanImage col_q = ReplicaScanImage(cluster.get(), 1, ts,
+                                         ScanLocking::kSnapshot, 0,
+                                         ScanMode::kVisible, pred);
+      EXPECT_EQ(row_q, col_q) << pred.ToString() << at;
+      ASSERT_OK_AND_ASSIGN(auto bound, pred.Bind(SmallSchema()));
+      size_t want = 0;
+      for (const auto& [id, row] : snap) {
+        want += pred.EvalBound(bound, Tuple(SmallRow(id, row.qty, "c")));
+      }
+      EXPECT_EQ(col_q.size(), want) << pred.ToString() << at;
+    }
     // And the columnar replica equals the serial reference.
     ExpectSnapshotsEqual(snap, ReplicaSnapshot(cluster.get(), 1, ts),
                          "columnar" + at);
@@ -527,7 +586,7 @@ TEST(PropertyTest, SegmentAnnotationsAlwaysCoverContents) {
   all.object_id = obj->object_id;
   all.mode = ScanMode::kSeeDeleted;
   SeqScanOperator scan(w->store(), obj, all);
-  ASSERT_OK_AND_ASSIGN(auto rows, CollectAll(&scan));
+  ASSERT_OK_AND_ASSIGN(auto rows, scan.Collect());
   for (const Tuple& t : rows) {
     ASSERT_OK_AND_ASSIGN(size_t seg,
                          obj->file->SegmentOfPage(t.record_id().page.page_no));

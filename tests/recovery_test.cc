@@ -65,7 +65,7 @@ std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of,
   spec.mode = ScanMode::kVisible;
   spec.as_of = as_of;
   SeqScanOperator scan(w->store(), obj, spec);
-  auto rows = CollectAll(&scan);
+  auto rows = scan.Collect();
   HARBOR_CHECK_OK(rows.status());
   auto mapping = SmallSchema().MappingFrom(obj->schema);
   HARBOR_CHECK_OK(mapping.status());

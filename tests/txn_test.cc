@@ -88,7 +88,7 @@ class VersionStoreTest : public ::testing::Test {
     spec.mode = mode;
     spec.as_of = as_of;
     SeqScanOperator scan(&store_, obj_, spec);
-    auto rows = CollectAll(&scan);
+    auto rows = scan.Collect();
     HARBOR_CHECK_OK(rows.status());
     return std::move(rows).value();
   }
