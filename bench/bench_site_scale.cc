@@ -2,7 +2,7 @@
 // shared task-scheduler runtime.
 //
 // Before the shared runtime every site carried its own dispatch threads
-// (worker_server_threads per endpoint) plus per-subsystem timers, so a
+// (eight handler threads per endpoint) plus per-subsystem timers, so a
 // 128-site cluster meant a thousand-plus parked OS threads before the
 // first transaction. Now dispatch strands, checkpoint/epoch timers,
 // consensus rounds and recovery fan-out all multiplex onto one fixed

@@ -53,13 +53,12 @@ SoakOptions MakeOptions(uint64_t seed, int64_t duration_ms, int recoveries,
   // queue growth. The binding constraint is single-table DML: every
   // insert X-locks the open segment's tail page until commit (strict
   // 2PL), so the 8 trickle sessions convoy on that page and sustain only
-  // a few dozen DML/s total. One issuing thread per session so a trickle
-  // session stuck in a lock convoy never queues another session's scans
-  // behind it.
+  // a few dozen DML/s total. Each session issues from its own strand, so
+  // a trickle session stuck in a lock convoy never queues another
+  // session's scans behind it.
   opt.mixes = {workload::TrickleUpdateMix(8, 4.0),
                workload::ScanHeavyMix(4, 12.0)};
   opt.duration_ms = duration_ms;
-  opt.threads = 12;
   opt.preload_rows = 256;
   opt.forced_recoveries = recoveries;
   opt.chaos = chaos;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
 namespace harbor {
 
@@ -74,7 +75,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
     wopt.protocol = options.protocol;
     wopt.group_commit = options.group_commit;
     wopt.buffer_pages = options.buffer_pages;
-    wopt.server_threads = options.worker_server_threads;
     wopt.lock_timeout = options.lock_timeout;
     wopt.checkpoint_period_ms = options.checkpoint_period_ms;
     wopt.default_coordinator = 0;
@@ -246,6 +246,26 @@ Result<RecoveryStats> Cluster::RecoverWorker(int i, RecoveryOptions options) {
 
 void Cluster::AdvanceEpoch(int n) {
   for (int i = 0; i < n; ++i) authority_.Advance();
+}
+
+Status Cluster::WaitForTxnDrain(std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    std::string stuck;
+    for (const auto& w : workers_) {
+      std::vector<TxnId> ids = w->ActiveTxnIds();
+      if (ids.empty()) continue;
+      stuck += " site " + std::to_string(w->site_id()) + ":";
+      for (TxnId id : ids) stuck += " " + std::to_string(id);
+    }
+    if (stuck.empty()) return Status::OK();
+    if (std::chrono::steady_clock::now() > deadline) {
+      return Status::TimedOut("transactions still active after " +
+                              std::to_string(timeout.count()) + " ms:" +
+                              stuck);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 }  // namespace harbor

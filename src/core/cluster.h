@@ -1,6 +1,7 @@
 #ifndef HARBOR_CORE_CLUSTER_H_
 #define HARBOR_CORE_CLUSTER_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +37,6 @@ struct ClusterOptions {
   size_t buffer_pages = 8192;
   std::chrono::milliseconds lock_timeout{500};
   bool continue_on_worker_failure = false;
-  int worker_server_threads = 8;
   /// Forwarded to every coordinator: how stale (in epochs behind Now) the
   /// gossip-learned snapshot mark may be before SnapshotTime() falls back
   /// to the authority (see CoordinatorOptions::snapshot_max_lag_epochs).
@@ -158,6 +158,11 @@ class Cluster {
 
   /// Advances the logical clock n epochs.
   void AdvanceEpoch(int n = 1);
+
+  /// Waits until no running worker has an active transaction: the
+  /// consensus or abort aftermath of a coordinator crash has settled.
+  /// TimedOut names the transactions each worker still holds.
+  Status WaitForTxnDrain(std::chrono::milliseconds timeout);
 
  private:
   explicit Cluster(ClusterOptions options);

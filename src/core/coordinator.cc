@@ -7,6 +7,13 @@
 
 namespace harbor {
 
+namespace {
+
+/// Handlers the coordinator endpoint runs at once.
+constexpr int kServerThreads = 4;
+
+}  // namespace
+
 Coordinator::Coordinator(Network* network, GlobalCatalog* catalog,
                          TimestampAuthority* authority,
                          LivenessDirectory* liveness, obs::Metrics& metrics,
@@ -34,7 +41,7 @@ Status Coordinator::Start() {
   HARBOR_RETURN_NOT_OK(network_->RegisterSite(
       options_.site_id,
       [this](SiteId from, const Message& m) { return Handle(from, m); },
-      options_.server_threads));
+      kServerThreads));
   liveness_->Set(options_.site_id, SiteState::kOnline);
   running_ = true;
   return Status::OK();

@@ -29,7 +29,6 @@ struct CoordinatorOptions {
   SimConfig sim = SimConfig::Zero();
   CommitProtocol protocol = CommitProtocol::kOptimized3PC;
   bool group_commit = true;
-  int server_threads = 4;
   /// §4.3.5: commit with K-1 safety when a worker crashes mid-transaction
   /// instead of aborting.
   bool continue_on_worker_failure = false;

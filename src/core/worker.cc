@@ -1,6 +1,7 @@
 #include "core/worker.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "exec/dml.h"
 #include "exec/seq_scan.h"
@@ -16,6 +17,10 @@ int64_t IntOf(const Value& v) {
   return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
 }
 
+/// Handlers a worker endpoint runs at once ("each worker runs a
+/// multi-threaded server", §6.1.6).
+constexpr int kServerThreads = 8;
+
 }  // namespace
 
 Worker::Runtime::Runtime(const WorkerOptions& options, obs::Metrics& metrics)
@@ -26,8 +31,7 @@ Worker::Runtime::Runtime(const WorkerOptions& options, obs::Metrics& metrics)
       cpu(options.sim),
       fm(options.dir, &data_disk),
       catalog(&fm),
-      pool(&fm, options.buffer_pages, metrics,
-           BufferPool::Options{.shards = options.buffer_shards}),
+      pool(&fm, options.buffer_pages, metrics),
       locks(metrics, options.lock_timeout) {}
 
 Worker::Worker(Network* network, GlobalCatalog* catalog,
@@ -46,10 +50,14 @@ Worker::~Worker() { Crash(); }
 
 Status Worker::Start(SiteState target_state) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  if (running_.load()) return Status::AlreadyExists("worker already running");
+  if (running()) return Status::AlreadyExists("worker already running");
 
-  rt_ = std::make_unique<Runtime>(options_, metrics_);
-  Runtime* rt = rt_.get();
+  auto gone = std::make_shared<std::latch>(1);
+  std::shared_ptr<Runtime> rt(new Runtime(options_, metrics_),
+                              [gone](Runtime* r) {
+                                delete r;
+                                gone->count_down();
+                              });
   HARBOR_RETURN_NOT_OK(rt->catalog.OpenAll());
   if (WorkerLogs(options_.protocol)) {
     HARBOR_ASSIGN_OR_RETURN(
@@ -60,19 +68,17 @@ Status Worker::Start(SiteState target_state) {
   rt->store = std::make_unique<VersionStore>(&rt->catalog, &rt->pool,
                                              &rt->locks, rt->log.get(),
                                              &rt->txns);
-  rt->pool.set_header_sync_hook([this](uint32_t file_id) -> Status {
-    Runtime* r = rt_.get();
-    if (r == nullptr) return Status::OK();
-    auto obj = r->catalog.GetObject(file_id);
+  // The pool's hooks and the endpoint's handler bind this runtime: the pool
+  // dies with it, and Crash drains the endpoint before releasing it.
+  Runtime* bound = rt.get();
+  rt->pool.set_header_sync_hook([bound](uint32_t file_id) -> Status {
+    auto obj = bound->catalog.GetObject(file_id);
     if (!obj.ok()) return Status::OK();  // not a table file
     return (*obj)->file->SyncHeaderIfDirty();
   });
   if (rt->log != nullptr) {
-    rt->pool.set_wal_flush_hook([this](Lsn lsn) -> Status {
-      Runtime* r = rt_.get();
-      if (r == nullptr || r->log == nullptr) return Status::OK();
-      return r->log->Flush(lsn);
-    });
+    rt->pool.set_wal_flush_hook(
+        [bound](Lsn lsn) -> Status { return bound->log->Flush(lsn); });
     // ARIES restart recovery: the log-based baseline's path back to a
     // consistent state (§6.1.7).
     AriesRecovery aries(&rt->catalog, &rt->pool, rt->log.get());
@@ -95,21 +101,36 @@ Status Worker::Start(SiteState target_state) {
 
   HARBOR_RETURN_NOT_OK(network_->RegisterSite(
       options_.site_id,
-      [this](SiteId from, const Message& m) { return Handle(from, m); },
-      options_.server_threads));
-  liveness_->Set(options_.site_id, target_state);
-
+      [this, bound](SiteId, const Message& m) { return Handle(*bound, m); },
+      kServerThreads));
   if (options_.checkpoint_period_ms > 0) {
     rt->checkpoint_timer = scheduler()->ScheduleEvery(
         options_.checkpoint_period_ms * 1'000'000,
         [this] { CheckpointTick(); });
   }
-  running_ = true;
+  {
+    std::lock_guard<std::mutex> lock(rt_mu_);
+    rt_ = std::move(rt);
+  }
+  runtime_gone_ = std::move(gone);
+  // Published before the liveness flip, so no coordinator routes a
+  // transaction here while a crash callback could still miss it.
+  liveness_->Set(options_.site_id, target_state);
   return Status::OK();
 }
 
+std::shared_ptr<Worker::Runtime> Worker::Pin() const {
+  std::lock_guard<std::mutex> lock(rt_mu_);
+  return rt_;
+}
+
+std::vector<TxnId> Worker::ActiveTxnIds() const {
+  std::shared_ptr<Runtime> rt = Pin();
+  return rt == nullptr ? std::vector<TxnId>() : rt->txns.ActiveIds();
+}
+
 Status Worker::ProvisionReplicas() {
-  Runtime* rt = rt_.get();
+  std::shared_ptr<Runtime> rt = Pin();
   HARBOR_CHECK(rt != nullptr);
   for (const TableDef* table : catalog_->tables()) {
     for (const ReplicaPlacement& p : table->replicas) {
@@ -131,40 +152,34 @@ Status Worker::ProvisionReplicas() {
 
 void Worker::Crash() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  if (!running_.load() || rt_ == nullptr) return;
-  running_ = false;
-  liveness_->Set(options_.site_id, SiteState::kDown);
-  Runtime* rt = rt_.get();
-  rt->locks.Shutdown();  // unblock handler threads stuck in lock waits
+  std::shared_ptr<Runtime> rt;
   {
-    std::lock_guard<std::mutex> lock(rt->bg_mu);
-    rt->stopping = true;
+    std::lock_guard<std::mutex> lock(rt_mu_);
+    rt = std::move(rt_);
   }
-  rt->bg_cv.notify_all();
+  if (rt == nullptr) return;
+  liveness_->Set(options_.site_id, SiteState::kDown);
+  rt->locks.Shutdown();  // unblock handler threads stuck in lock waits
   network_->CrashSite(options_.site_id);  // drains handlers, fires subscribers
   if (rt->checkpoint_timer != 0) {
     // Cancel-and-wait: after this no checkpoint tick is running or will
-    // ever run, so rt_ can be torn down underneath it.
+    // ever run.
     scheduler()->CancelTimer(rt->checkpoint_timer);
-    rt->checkpoint_timer = 0;
   }
-  {
-    // Consensus rounds this worker launched still reference the runtime;
-    // wait them out (they fail fast once running_ is false).
-    runtime::ScopedBlocking block;
-    std::unique_lock<std::mutex> lock(consensus_mu_);
-    consensus_cv_.wait(lock, [this] { return consensus_inflight_ == 0; });
-  }
-  // Destroying the runtime drops the buffer pool (no flush — unflushed
-  // pages are lost), the lock tables, the in-memory insertion/deletion
-  // lists, and the unforced log tail. Files survive.
-  rt_.reset();
+  // The last pin — a crash callback, consensus round or checkpoint writer
+  // that took it before rt_ went null — destroys the runtime: the buffer
+  // pool (no flush, so unflushed pages are lost), the lock tables, the
+  // in-memory insertion and deletion lists, and the unforced log tail.
+  // Files survive.
+  rt.reset();
+  runtime::ScopedBlocking block;
+  runtime_gone_->wait();
 }
 
 // ----------------------------------------------------------- checkpoints
 
 Status Worker::WriteCheckpoint() {
-  Runtime* rt = rt_.get();
+  std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return Status::Unavailable("worker down");
   // Figure 3-2: pick T such that every commit at or before T has fully
   // applied (StableTime guarantees no in-flight commit <= T anywhere),
@@ -197,7 +212,7 @@ Result<CheckpointRecord> Worker::LastCheckpoint() const {
 }
 
 Status Worker::WriteObjectCheckpoint(ObjectId object, Timestamp t) {
-  Runtime* rt = rt_.get();
+  std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return Status::Unavailable("worker down");
   std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
   HARBOR_ASSIGN_OR_RETURN(CheckpointRecord rec,
@@ -210,7 +225,7 @@ Status Worker::WriteObjectCheckpoint(ObjectId object, Timestamp t) {
 }
 
 Status Worker::WriteObjectResume(ObjectId object, const StreamResume& resume) {
-  Runtime* rt = rt_.get();
+  std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return Status::Unavailable("worker down");
   std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
   HARBOR_ASSIGN_OR_RETURN(CheckpointRecord rec,
@@ -233,7 +248,7 @@ Status Worker::WriteObjectResume(ObjectId object, const StreamResume& resume) {
 }
 
 Status Worker::PromoteGlobalCheckpoint(Timestamp t) {
-  Runtime* rt = rt_.get();
+  std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return Status::Unavailable("worker down");
   std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
   CheckpointRecord rec;
@@ -244,13 +259,8 @@ Status Worker::PromoteGlobalCheckpoint(Timestamp t) {
 }
 
 void Worker::CheckpointTick() {
-  Runtime* rt = rt_.get();
-  if (rt == nullptr || !running_.load()) return;
-  {
-    std::lock_guard<std::mutex> lock(rt->bg_mu);
-    if (rt->stopping) return;
-  }
-  if (checkpoints_paused_.load()) return;
+  std::shared_ptr<Runtime> rt = Pin();
+  if (rt == nullptr || checkpoints_paused_.load()) return;
   if (rt->log != nullptr) {
     // ARIES mode: fuzzy checkpoint, no page flushing.
     (void)AriesRecovery::WriteCheckpoint(rt->log.get(), &rt->pool, &rt->txns);
@@ -261,42 +271,41 @@ void Worker::CheckpointTick() {
 
 // -------------------------------------------------------------- handlers
 
-Result<Message> Worker::Handle(SiteId from, const Message& m) {
-  (void)from;
+Result<Message> Worker::Handle(Runtime& rt, const Message& m) {
   switch (static_cast<MsgType>(m.type)) {
     case MsgType::kExecUpdate: {
       HARBOR_ASSIGN_OR_RETURN(ExecUpdateMsg msg, ExecUpdateMsg::Decode(m));
-      return HandleExecUpdate(msg);
+      return HandleExecUpdate(rt, msg);
     }
     case MsgType::kPrepare: {
       HARBOR_ASSIGN_OR_RETURN(PrepareMsg msg, PrepareMsg::Decode(m));
-      return HandlePrepare(msg);
+      return HandlePrepare(rt, msg);
     }
     case MsgType::kPrepareToCommit: {
       HARBOR_ASSIGN_OR_RETURN(CommitTsMsg msg, CommitTsMsg::Decode(m));
-      return HandlePrepareToCommit(msg);
+      return HandlePrepareToCommit(rt, msg);
     }
     case MsgType::kCommit: {
       HARBOR_ASSIGN_OR_RETURN(CommitTsMsg msg, CommitTsMsg::Decode(m));
-      return HandleCommit(msg);
+      return HandleCommit(rt, msg);
     }
     case MsgType::kAbort:
     case MsgType::kFinishRead: {
       HARBOR_ASSIGN_OR_RETURN(TxnMsg msg, TxnMsg::Decode(m));
-      return HandleAbort(msg);
+      return HandleAbort(rt, msg);
     }
     case MsgType::kScan: {
       HARBOR_ASSIGN_OR_RETURN(ScanMsg msg, ScanMsg::Decode(m));
-      return HandleScan(msg);
+      return HandleScan(rt, msg);
     }
     case MsgType::kTableLock:
     case MsgType::kTableUnlock: {
       HARBOR_ASSIGN_OR_RETURN(TableLockMsg msg, TableLockMsg::Decode(m));
-      return HandleTableLock(msg);
+      return HandleTableLock(rt, msg);
     }
     case MsgType::kTxnStateProbe: {
       HARBOR_ASSIGN_OR_RETURN(TxnMsg msg, TxnMsg::Decode(m));
-      return HandleProbe(msg);
+      return HandleProbe(rt, msg);
     }
     default:
       return Status::NotImplemented("worker cannot handle message type " +
@@ -304,24 +313,27 @@ Result<Message> Worker::Handle(SiteId from, const Message& m) {
   }
 }
 
-Result<Message> Worker::HandleExecUpdate(const ExecUpdateMsg& m) {
+Result<Message> Worker::HandleExecUpdate(Runtime& rt, const ExecUpdateMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.exec_update", options_.site_id);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
   // Simulated per-transaction CPU work occupies this site's processor
   // (§6.3.2).
-  rt->cpu.DoWork(m.request.cpu_work_cycles);
+  rt.cpu.DoWork(m.request.cpu_work_cycles);
 
   HARBOR_ASSIGN_OR_RETURN(const TableDef* table,
                           catalog_->GetTable(m.request.table_id));
-  std::shared_ptr<TxnState> txn = rt->txns.Create(m.txn);
+  std::shared_ptr<TxnState> txn = rt.txns.Create(m.txn);
   std::lock_guard<std::mutex> guard(txn->mu);
   txn->coordinator = m.coordinator;
   if (txn->phase != TxnPhase::kPending) {
     return Status::Aborted("transaction is no longer pending");
   }
+  if (liveness_->Get(m.coordinator) == SiteState::kDown) {
+    // Registered after the coordinator's crash callback scanned this site.
+    TerminateOrphan(rt, txn.get());
+    return Status::Aborted("coordinator is down");
+  }
 
-  for (TableObject* obj : rt->catalog.objects()) {
+  for (TableObject* obj : rt.catalog.objects()) {
     if (obj->table_id != m.request.table_id) continue;
     switch (m.request.kind) {
       case UpdateRequest::Kind::kInsert: {
@@ -333,7 +345,7 @@ Result<Message> Worker::HandleExecUpdate(const ExecUpdateMsg& m) {
             continue;  // tuple belongs to a partition hosted elsewhere
           }
         }
-        HARBOR_RETURN_NOT_OK(ExecInsert(rt->store.get(), txn.get(), obj,
+        HARBOR_RETURN_NOT_OK(ExecInsert(rt.store.get(), txn.get(), obj,
                                         m.request.tuple_id,
                                         table->logical_schema,
                                         m.request.values)
@@ -341,13 +353,13 @@ Result<Message> Worker::HandleExecUpdate(const ExecUpdateMsg& m) {
         break;
       }
       case UpdateRequest::Kind::kDelete:
-        HARBOR_RETURN_NOT_OK(ExecDelete(rt->store.get(), txn.get(), obj,
+        HARBOR_RETURN_NOT_OK(ExecDelete(rt.store.get(), txn.get(), obj,
                                         m.request.predicate,
                                         authority_->Now())
                                  .status());
         break;
       case UpdateRequest::Kind::kUpdate:
-        HARBOR_RETURN_NOT_OK(ExecUpdate(rt->store.get(), txn.get(), obj,
+        HARBOR_RETURN_NOT_OK(ExecUpdate(rt.store.get(), txn.get(), obj,
                                         m.request.predicate, m.request.sets,
                                         authority_->Now())
                                  .status());
@@ -357,11 +369,9 @@ Result<Message> Worker::HandleExecUpdate(const ExecUpdateMsg& m) {
   return AckMessage();
 }
 
-Result<Message> Worker::HandlePrepare(const PrepareMsg& m) {
+Result<Message> Worker::HandlePrepare(Runtime& rt, const PrepareMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.prepare", options_.site_id);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  auto txn_r = rt->txns.Get(m.txn);
+  auto txn_r = rt.txns.Get(m.txn);
   if (!txn_r.ok()) {
     // Unknown transaction (e.g. we crashed and recovered since executing
     // it): vote NO (§4.3.2).
@@ -374,47 +384,50 @@ Result<Message> Worker::HandlePrepare(const PrepareMsg& m) {
   if (txn->phase == TxnPhase::kPrepared) {
     return VoteReply{txn->voted_yes}.Encode();  // duplicate PREPARE
   }
+  if (liveness_->Get(m.coordinator) == SiteState::kDown) {
+    TerminateOrphan(rt, txn.get());
+    return VoteReply{false}.Encode();
+  }
   if (fail_next_prepare_.exchange(false)) {
     // Consistency constraint violation: vote NO, roll back, release locks
     // (Figure 4-2's abort path at the worker).
     txn->phase = TxnPhase::kAborted;
     txn->voted_yes = false;
-    if (rt->log != nullptr) {
+    if (rt.log != nullptr) {
       LogRecord rec;
       rec.type = LogRecordType::kTxnAbort;
       rec.txn = txn->id;
       rec.prev_lsn = txn->last_lsn;
-      txn->last_lsn = rt->log->Append(std::move(rec));
-      HARBOR_RETURN_NOT_OK(rt->log->Flush(txn->last_lsn));
+      txn->last_lsn = rt.log->Append(std::move(rec));
+      HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
     }
-    HARBOR_RETURN_NOT_OK(rt->store->RollbackTransaction(txn.get()));
-    rt->locks.ReleaseAll(txn->id);
-    rt->txns.Erase(txn->id);
+    HARBOR_RETURN_NOT_OK(rt.store->RollbackTransaction(txn.get()));
+    rt.locks.ReleaseAll(txn->id);
+    rt.txns.Erase(txn->id);
     metrics_.Trace("worker.vote.no", m.txn);
     return VoteReply{false}.Encode();
   }
   txn->phase = TxnPhase::kPrepared;
   txn->voted_yes = true;
   metrics_.Trace("worker.vote.yes", txn->id);
-  if (rt->log != nullptr) {
+  if (rt.log != nullptr) {
     // Traditional 2PC / canonical 3PC: the PREPARE record is force-written
     // before the YES vote leaves the site (§4.3.1).
     LogRecord rec;
     rec.type = LogRecordType::kTxnPrepare;
     rec.txn = txn->id;
     rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt->log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt->log->Flush(txn->last_lsn));
+    txn->last_lsn = rt.log->Append(std::move(rec));
+    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
   }
   return VoteReply{true}.Encode();
 }
 
-Result<Message> Worker::HandlePrepareToCommit(const CommitTsMsg& m) {
+Result<Message> Worker::HandlePrepareToCommit(Runtime& rt,
+                                              const CommitTsMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.prepare_to_commit", options_.site_id);
   snapshots_.Learn(m.stable_ts);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  auto txn_r = rt->txns.Get(m.txn);
+  auto txn_r = rt.txns.Get(m.txn);
   if (!txn_r.ok()) return AckMessage();  // already resolved; idempotent
   std::shared_ptr<TxnState> txn = *txn_r;
   std::lock_guard<std::mutex> guard(txn->mu);
@@ -422,95 +435,87 @@ Result<Message> Worker::HandlePrepareToCommit(const CommitTsMsg& m) {
   txn->pending_commit_ts = m.commit_ts;
   metrics_.Trace("worker.prepared_to_commit", m.txn,
                  static_cast<int64_t>(m.commit_ts));
-  if (rt->log != nullptr && IsThreePhase(options_.protocol)) {
+  if (rt.log != nullptr && IsThreePhase(options_.protocol)) {
     // Canonical 3PC's middle forced write.
     LogRecord rec;
     rec.type = LogRecordType::kTxnPrepareToCommit;
     rec.txn = txn->id;
     rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt->log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt->log->Flush(txn->last_lsn));
+    txn->last_lsn = rt.log->Append(std::move(rec));
+    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
   }
   return AckMessage();
 }
 
-Status Worker::CommitLocally(TxnState* txn, Timestamp commit_ts) {
-  Runtime* rt = rt_.get();
-  HARBOR_RETURN_NOT_OK(rt->store->StampCommit(txn, commit_ts));
+Status Worker::CommitLocally(Runtime& rt, TxnState* txn, Timestamp commit_ts) {
+  HARBOR_RETURN_NOT_OK(rt.store->StampCommit(txn, commit_ts));
   txn->phase = TxnPhase::kCommitted;
-  if (rt->log != nullptr) {
+  if (rt.log != nullptr) {
     LogRecord rec;
     rec.type = LogRecordType::kTxnCommit;
     rec.txn = txn->id;
     rec.prev_lsn = txn->last_lsn;
     rec.commit_ts = commit_ts;
-    txn->last_lsn = rt->log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt->log->Flush(txn->last_lsn));
+    txn->last_lsn = rt.log->Append(std::move(rec));
+    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
   }
-  rt->locks.ReleaseAll(txn->id);
-  rt->txns.Erase(txn->id);
+  rt.locks.ReleaseAll(txn->id);
+  rt.txns.Erase(txn->id);
   metrics_.counter(obs::CounterId::kTxnCommitted).Add();
   metrics_.Trace("worker.committed", txn->id,
                  static_cast<int64_t>(commit_ts));
   return Status::OK();
 }
 
-Status Worker::AbortLocally(TxnState* txn) {
-  Runtime* rt = rt_.get();
+Status Worker::AbortLocally(Runtime& rt, TxnState* txn) {
   txn->phase = TxnPhase::kAborted;
-  HARBOR_RETURN_NOT_OK(rt->store->RollbackTransaction(txn));
-  if (rt->log != nullptr) {
+  HARBOR_RETURN_NOT_OK(rt.store->RollbackTransaction(txn));
+  if (rt.log != nullptr) {
     LogRecord rec;
     rec.type = LogRecordType::kTxnAbort;
     rec.txn = txn->id;
     rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt->log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt->log->Flush(txn->last_lsn));
+    txn->last_lsn = rt.log->Append(std::move(rec));
+    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
   }
-  rt->locks.ReleaseAll(txn->id);
-  rt->txns.Erase(txn->id);
+  rt.locks.ReleaseAll(txn->id);
+  rt.txns.Erase(txn->id);
   metrics_.Trace("worker.aborted", txn->id);
   return Status::OK();
 }
 
-Result<Message> Worker::HandleCommit(const CommitTsMsg& m) {
+Result<Message> Worker::HandleCommit(Runtime& rt, const CommitTsMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.commit", options_.site_id);
   snapshots_.Learn(m.stable_ts);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  auto txn_r = rt->txns.Get(m.txn);
+  auto txn_r = rt.txns.Get(m.txn);
   if (!txn_r.ok()) return AckMessage();  // duplicate COMMIT; idempotent
   std::shared_ptr<TxnState> txn = *txn_r;
   std::lock_guard<std::mutex> guard(txn->mu);
   if (txn->phase == TxnPhase::kCommitted) return AckMessage();
-  HARBOR_RETURN_NOT_OK(CommitLocally(txn.get(), m.commit_ts));
+  HARBOR_RETURN_NOT_OK(CommitLocally(rt, txn.get(), m.commit_ts));
   // Crash here: tuples stamped but the ACK never reaches the coordinator.
   HARBOR_FAULT_POINT_ASYNC("worker.commit.after_apply", options_.site_id);
   return AckMessage();
 }
 
-Result<Message> Worker::HandleAbort(const TxnMsg& m) {
+Result<Message> Worker::HandleAbort(Runtime& rt, const TxnMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.abort", options_.site_id);
   snapshots_.Learn(m.stable_ts);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  auto txn_r = rt->txns.Get(m.txn);
+  auto txn_r = rt.txns.Get(m.txn);
   if (!txn_r.ok()) {
     // kFinishRead for a read-only transaction that never created state, or
     // a duplicate abort: just release any page locks held under this owner.
-    rt->locks.ReleaseAll(m.txn);
+    rt.locks.ReleaseAll(m.txn);
     return AckMessage();
   }
   std::shared_ptr<TxnState> txn = *txn_r;
   std::lock_guard<std::mutex> guard(txn->mu);
-  HARBOR_RETURN_NOT_OK(AbortLocally(txn.get()));
+  HARBOR_RETURN_NOT_OK(AbortLocally(rt, txn.get()));
   return AckMessage();
 }
 
-Result<Message> Worker::HandleScan(const ScanMsg& m) {
+Result<Message> Worker::HandleScan(Runtime& rt, const ScanMsg& m) {
   HARBOR_FAULT_POINT_ASYNC("worker.scan", options_.site_id);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
   if (m.snapshot_read &&
       liveness_->Get(options_.site_id) != SiteState::kOnline) {
     // A recovering site's objects are incomplete until Phase 3 ends, and a
@@ -528,7 +533,7 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
                               : m.with_page_locks ? ScanLocking::kPageLocks
                                                   : ScanLocking::kNone;
   HARBOR_ASSIGN_OR_RETURN(TableObject * obj,
-                          rt->catalog.GetObject(m.spec.object_id));
+                          rt.catalog.GetObject(m.spec.object_id));
   ScanReplyMsg reply;
   std::vector<Tuple> tuples;
   std::vector<VersionKey> keys;
@@ -597,7 +602,7 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
         attempt.has_insertion_at_or_before = true;
         attempt.insertion_at_or_before = hi_cap;
       }
-      SeqScanOperator scan(rt->store.get(), obj, std::move(attempt), m.owner,
+      SeqScanOperator scan(rt.store.get(), obj, std::move(attempt), m.owner,
                            locking);
       HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
       pages_visited += scan.pages_visited();
@@ -618,10 +623,10 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
       reply.last_tuple_id = keys.back().tuple_id;
     }
     if (!m.minimal_projection) {
-      HARBOR_ASSIGN_OR_RETURN(tuples, rt->store->ReadVersions(obj, keys));
+      HARBOR_ASSIGN_OR_RETURN(tuples, rt.store->ReadVersions(obj, keys));
     }
   } else {
-    SeqScanOperator scan(rt->store.get(), obj, m.spec, m.owner, locking);
+    SeqScanOperator scan(rt.store.get(), obj, m.spec, m.owner, locking);
     if (m.minimal_projection) {
       HARBOR_ASSIGN_OR_RETURN(keys, scan.ScanKeys());
     } else {
@@ -666,24 +671,20 @@ Result<Message> Worker::HandleScan(const ScanMsg& m) {
   return reply.Encode();
 }
 
-Result<Message> Worker::HandleTableLock(const TableLockMsg& m) {
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
+Result<Message> Worker::HandleTableLock(Runtime& rt, const TableLockMsg& m) {
   const LockOwnerId owner = MakeRecoveryOwner(m.owner_site);
   if (m.type == MsgType::kTableLock) {
     HARBOR_RETURN_NOT_OK(
-        rt->locks.AcquireTableLock(owner, m.object_id, LockMode::kShared));
+        rt.locks.AcquireTableLock(owner, m.object_id, LockMode::kShared));
   } else {
-    rt->locks.ReleaseTableLock(owner, m.object_id);
+    rt.locks.ReleaseTableLock(owner, m.object_id);
   }
   return AckMessage();
 }
 
-Result<Message> Worker::HandleProbe(const TxnMsg& m) {
-  Runtime* rt = rt_.get();
-  if (rt == nullptr) return Status::Unavailable("worker down");
+Result<Message> Worker::HandleProbe(Runtime& rt, const TxnMsg& m) {
   ProbeReply reply;
-  auto txn_r = rt->txns.Get(m.txn);
+  auto txn_r = rt.txns.Get(m.txn);
   if (txn_r.ok()) {
     std::shared_ptr<TxnState> txn = *txn_r;
     std::lock_guard<std::mutex> guard(txn->mu);
@@ -699,63 +700,51 @@ Result<Message> Worker::HandleProbe(const TxnMsg& m) {
 // ----------------------------------------------- failure handling (§5.5)
 
 void Worker::OnSiteCrash(SiteId crashed) {
-  if (!running_.load() || crashed == options_.site_id) return;
-  Runtime* rt = rt_.get();
+  if (crashed == options_.site_id) return;
+  std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return;
+  HARBOR_FAULT_HIT("worker.site_crash", options_.site_id);
 
   // A recovering site that dies while holding table read locks must not
   // block transactions forever: override its lock ownership (§5.5.1).
   rt->locks.ReleaseAll(MakeRecoveryOwner(crashed));
 
-  // Coordinator failure handling (§4.3.2 / §4.3.3).
+  // Coordinator failure handling (§4.3.2 / §4.3.3). A handler that
+  // registers a transaction after this scan terminates it itself.
   for (TxnId id : rt->txns.ActiveIds()) {
     auto txn_r = rt->txns.Get(id);
     if (!txn_r.ok()) continue;
-    std::shared_ptr<TxnState> txn = *txn_r;
-    bool run_consensus = false;
-    {
-      std::lock_guard<std::mutex> guard(txn->mu);
-      if (txn->coordinator != crashed) continue;
-      if (!IsThreePhase(options_.protocol)) {
-        // 2PC: a pending transaction can be aborted safely; a prepared one
-        // is blocked until the coordinator recovers (the blocking problem).
-        if (txn->phase == TxnPhase::kPending ||
-            (txn->phase == TxnPhase::kPrepared && !txn->voted_yes)) {
-          (void)AbortLocally(txn.get());
-        }
-        continue;
-      }
-      run_consensus = true;
-    }
-    if (run_consensus) {
-      {
-        std::lock_guard<std::mutex> lock(rt->bg_mu);
-        if (rt->stopping) return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(consensus_mu_);
-        consensus_inflight_++;
-      }
-      const bool posted = scheduler()->Post([this, id, crashed] {
-        RunConsensus(id, crashed);
-        std::lock_guard<std::mutex> lock(consensus_mu_);
-        if (--consensus_inflight_ == 0) consensus_cv_.notify_all();
-      });
-      if (!posted) {  // runtime shutting down: nothing will run
-        std::lock_guard<std::mutex> lock(consensus_mu_);
-        if (--consensus_inflight_ == 0) consensus_cv_.notify_all();
-      }
-    }
+    std::lock_guard<std::mutex> guard((*txn_r)->mu);
+    if ((*txn_r)->coordinator == crashed) TerminateOrphan(*rt, txn_r->get());
   }
 }
 
-void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
+void Worker::TerminateOrphan(Runtime& rt, TxnState* txn) {
+  if (IsThreePhase(options_.protocol)) {
+    // The round pins the runtime; a round that never runs is destroyed,
+    // which unpins it.
+    (void)scheduler()->Post([this, pin = rt.shared_from_this(), id = txn->id,
+                             dead = txn->coordinator] {
+      RunConsensus(*pin, id, dead);
+    });
+    return;
+  }
+  // 2PC: a pending transaction can be aborted safely; a prepared one is
+  // blocked until the coordinator recovers (the blocking problem).
+  if (txn->phase == TxnPhase::kPending ||
+      (txn->phase == TxnPhase::kPrepared && !txn->voted_yes)) {
+    (void)AbortLocally(rt, txn);
+  }
+}
+
+void Worker::RunConsensus(Runtime& rt, TxnId txn_id,
+                          SiteId dead_coordinator) {
   metrics_.Trace("worker.consensus.begin", txn_id,
                  static_cast<int64_t>(dead_coordinator));
   HARBOR_FAULT_HIT("worker.consensus", options_.site_id);
-  Runtime* rt = rt_.get();
-  if (rt == nullptr || !running_.load()) return;
-  auto txn_r = rt->txns.Get(txn_id);
+  // The round's pin keeps rt_ either this runtime or null.
+  if (!running()) return;
+  auto txn_r = rt.txns.Get(txn_id);
   if (!txn_r.ok()) return;  // already resolved
   std::shared_ptr<TxnState> txn = *txn_r;
 
@@ -785,8 +774,8 @@ void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
     runtime::ScopedBlocking block;  // stagger wait on the shared pool
     std::this_thread::sleep_for(std::chrono::milliseconds(30) * rank);
   }
-  if (!running_.load()) return;
-  if (!rt->txns.Get(txn_id).ok()) return;  // resolved while we waited
+  if (!running()) return;
+  if (!rt.txns.Get(txn_id).ok()) return;  // resolved while we waited
 
   // Probe every live participant: if ANY site reached prepared-to-commit
   // (or committed), the old coordinator may have reached its commit point,
@@ -832,11 +821,11 @@ void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
       commit.commit_ts = ts;
       (void)network_->Call(options_.site_id, p, commit.Encode());
     }
-    auto self = rt->txns.Get(txn_id);
+    auto self = rt.txns.Get(txn_id);
     if (self.ok()) {
       std::lock_guard<std::mutex> guard((*self)->mu);
       if ((*self)->phase != TxnPhase::kCommitted) {
-        (void)CommitLocally(self->get(), ts);
+        (void)CommitLocally(rt, self->get(), ts);
       }
     }
     // Release the dead coordinator's epoch hold (no-op if ReleaseSite beat
@@ -850,10 +839,10 @@ void Worker::RunConsensus(TxnId txn_id, SiteId dead_coordinator) {
       abort.txn = txn_id;
       (void)network_->Call(options_.site_id, p, abort.Encode());
     }
-    auto self = rt->txns.Get(txn_id);
+    auto self = rt.txns.Get(txn_id);
     if (self.ok()) {
       std::lock_guard<std::mutex> guard((*self)->mu);
-      (void)AbortLocally(self->get());
+      (void)AbortLocally(rt, self->get());
     }
   }
 }

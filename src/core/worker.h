@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "aries/aries.h"
@@ -38,9 +37,6 @@ struct WorkerOptions {
   CommitProtocol protocol = CommitProtocol::kOptimized3PC;
   bool group_commit = true;
   size_t buffer_pages = 8192;
-  /// Page-table shards in the buffer pool; 0 scales with buffer_pages.
-  size_t buffer_shards = 0;
-  int server_threads = 8;
   std::chrono::milliseconds lock_timeout{500};
   /// Period of the background checkpointer (Fig 3-2 in HARBOR mode, fuzzy
   /// ARIES checkpoints in logging mode); 0 disables it.
@@ -55,7 +51,11 @@ struct WorkerOptions {
 ///
 /// The Worker object itself is a restartable host; all volatile state lives
 /// in an internal runtime that Crash() destroys (keeping the site's files)
-/// and Start() rebuilds — fail-stop semantics (§3.2).
+/// and Start() rebuilds — fail-stop semantics (§3.2). Every user of the
+/// runtime either holds it by construction (message handlers and pool hooks
+/// bind the runtime they were registered with; the crash drains them before
+/// it can go) or pins it (crash callbacks, consensus rounds, checkpoint
+/// writers, accessors). Crash() returns only once the last pin is dropped.
 class Worker {
  public:
   /// `metrics` is this site's registry in the cluster's observer; it
@@ -80,9 +80,13 @@ class Worker {
   Status Start(SiteState target_state = SiteState::kOnline);
 
   /// Fail-stop crash: drops every piece of volatile state. Files survive.
+  /// Returns once no code is left running on the old runtime.
   void Crash();
 
-  bool running() const { return running_.load(); }
+  bool running() const { return Pin() != nullptr; }
+
+  /// Ids of the transactions active at this site; empty when it is down.
+  std::vector<TxnId> ActiveTxnIds() const;
 
   // --- Checkpointing (Figure 3-2) ---
   Status WriteCheckpoint();
@@ -101,15 +105,13 @@ class Worker {
   void PauseCheckpoints(bool paused) { checkpoints_paused_ = paused; }
 
   // --- Internals (used by RecoveryManager, Cluster, tests) ---
-  VersionStore* store() { return rt_->store.get(); }
-  LocalCatalog* local_catalog() { return &rt_->catalog; }
-  LockManager* locks() { return &rt_->locks; }
-  BufferPool* pool() { return &rt_->pool; }
-  LogManager* log() { return rt_->log.get(); }
-  TxnTable* txns() { return &rt_->txns; }
-  SimDisk* data_disk() { return &rt_->data_disk; }
-  SimDisk* log_disk() { return &rt_->log_disk; }
-  SimCpu* cpu() { return &rt_->cpu; }
+  // The pointers stay valid only while the worker stays up.
+  VersionStore* store() { return Pin()->store.get(); }
+  LocalCatalog* local_catalog() { return &Pin()->catalog; }
+  LockManager* locks() { return &Pin()->locks; }
+  BufferPool* pool() { return &Pin()->pool; }
+  LogManager* log() { return Pin()->log.get(); }
+  TxnTable* txns() { return &Pin()->txns; }
   obs::Metrics& metrics() { return metrics_; }
   TimestampAuthority* authority() { return authority_; }
   Network* network() { return network_; }
@@ -131,7 +133,7 @@ class Worker {
   Timestamp snapshot_mark() const { return snapshots_.mark(); }
 
  private:
-  struct Runtime {
+  struct Runtime : std::enable_shared_from_this<Runtime> {
     Runtime(const WorkerOptions& options, obs::Metrics& metrics);
 
     SimDisk data_disk;
@@ -145,29 +147,34 @@ class Worker {
     std::unique_ptr<LogManager> log;  // null when the protocol is logless
     std::unique_ptr<VersionStore> store;
 
-    std::mutex bg_mu;
-    std::condition_variable bg_cv;
-    bool stopping = false;
     /// Repeating checkpoint timer on the shared runtime; 0 = none.
     runtime::TimerId checkpoint_timer = 0;
   };
 
-  Result<Message> Handle(SiteId from, const Message& m);
-  Result<Message> HandleExecUpdate(const ExecUpdateMsg& m);
-  Result<Message> HandlePrepare(const PrepareMsg& m);
-  Result<Message> HandlePrepareToCommit(const CommitTsMsg& m);
-  Result<Message> HandleCommit(const CommitTsMsg& m);
-  Result<Message> HandleAbort(const TxnMsg& m);
-  Result<Message> HandleScan(const ScanMsg& m);
-  Result<Message> HandleTableLock(const TableLockMsg& m);
-  Result<Message> HandleProbe(const TxnMsg& m);
+  /// The running runtime, kept alive for as long as the caller holds the
+  /// result; null when the worker is down.
+  std::shared_ptr<Runtime> Pin() const;
 
-  Status AbortLocally(TxnState* txn);
-  Status CommitLocally(TxnState* txn, Timestamp commit_ts);
+  Result<Message> Handle(Runtime& rt, const Message& m);
+  Result<Message> HandleExecUpdate(Runtime& rt, const ExecUpdateMsg& m);
+  Result<Message> HandlePrepare(Runtime& rt, const PrepareMsg& m);
+  Result<Message> HandlePrepareToCommit(Runtime& rt, const CommitTsMsg& m);
+  Result<Message> HandleCommit(Runtime& rt, const CommitTsMsg& m);
+  Result<Message> HandleAbort(Runtime& rt, const TxnMsg& m);
+  Result<Message> HandleScan(Runtime& rt, const ScanMsg& m);
+  Result<Message> HandleTableLock(Runtime& rt, const TableLockMsg& m);
+  Result<Message> HandleProbe(Runtime& rt, const TxnMsg& m);
+
+  Status AbortLocally(Runtime& rt, TxnState* txn);
+  Status CommitLocally(Runtime& rt, TxnState* txn, Timestamp commit_ts);
 
   void OnSiteCrash(SiteId crashed);
+  /// Starts termination of `txn`, whose coordinator has crashed (§4.3.2 /
+  /// §4.3.3): 2PC aborts it while that is still safe, 3PC posts a consensus
+  /// round. Caller holds txn->mu.
+  void TerminateOrphan(Runtime& rt, TxnState* txn);
   /// Consensus building protocol (backup coordinator, §4.3.3 / Table 4.1).
-  void RunConsensus(TxnId txn_id, SiteId dead_coordinator);
+  void RunConsensus(Runtime& rt, TxnId txn_id, SiteId dead_coordinator);
 
   void CheckpointTick();
 
@@ -178,21 +185,22 @@ class Worker {
   obs::Metrics& metrics_;
   const WorkerOptions options_;
 
-  std::unique_ptr<Runtime> rt_;
+  /// Guards the pointer only (a plain mutex, not std::atomic<shared_ptr>:
+  /// libstdc++ 12's atomic load releases its lock bit relaxed, which is a
+  /// data race under TSan).
+  mutable std::mutex rt_mu_;
+  std::shared_ptr<Runtime> rt_;
+  /// Serializes Start() against Crash(); never taken by a pin holder.
+  std::mutex lifecycle_mu_;
+  /// Counted down by the running runtime's deleter (guarded by
+  /// lifecycle_mu_).
+  std::shared_ptr<std::latch> runtime_gone_;
   SnapshotTracker snapshots_;
-  std::atomic<bool> running_{false};
   std::atomic<bool> checkpoints_paused_{false};
   std::atomic<bool> fail_next_prepare_{false};
-  mutable std::mutex lifecycle_mu_;
   /// Serializes read-modify-write cycles on the checkpoint record file
   /// (parallel object recovery checkpoints concurrently, §5.3).
   mutable std::mutex checkpoint_file_mu_;
-  /// Consensus rounds in flight on the shared runtime. Lives outside the
-  /// Runtime so Crash() can wait them out right before rt_.reset() without
-  /// racing the waiters' own notify (the cv must outlive the last round).
-  mutable std::mutex consensus_mu_;
-  std::condition_variable consensus_cv_;
-  int consensus_inflight_ = 0;
 };
 
 }  // namespace harbor

@@ -3,10 +3,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/types.h"
@@ -97,9 +95,9 @@ class TimestampAuthority {
   }
 
   /// Starts a repeating timer on `scheduler` advancing the epoch every
-  /// `period_ms` — the preferred form: the tick shares the cluster's pool
-  /// and StopTicker() waits out an in-flight tick, so a tick can never run
-  /// after this object (or the network it rode in on) is torn down.
+  /// `period_ms`. StopTicker() waits out an in-flight tick, so a tick can
+  /// never run after this object (or the network it rode in on) is torn
+  /// down.
   void StartTicker(runtime::Scheduler* scheduler, int64_t period_ms) {
     StopTicker();
     ticker_sched_ = scheduler;
@@ -107,38 +105,15 @@ class TimestampAuthority {
                                              [this] { Advance(); });
   }
 
-  /// Starts a dedicated background thread advancing the epoch every
-  /// `period_ms` (legacy form for scheduler-less tests).
-  void StartTicker(int64_t period_ms) {
-    StopTicker();
-    stop_ = false;
-    ticker_ = std::thread([this, period_ms] {
-      std::unique_lock<std::mutex> lock(ticker_mu_);
-      while (!stop_) {
-        if (ticker_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
-                                [this] { return stop_; })) {
-          break;
-        }
-        Advance();
-      }
-    });
-  }
-
-  /// Stops the ticker. On return no tick is running or will ever run: the
-  /// timer form cancels-and-waits, the thread form joins. Safe to call
-  /// repeatedly and from the destructor during cluster teardown.
+  /// Stops the ticker. On return no tick is running or will ever run (the
+  /// timer is cancelled and waited out). Safe to call repeatedly and from
+  /// the destructor during cluster teardown.
   void StopTicker() {
     if (ticker_sched_ != nullptr && ticker_timer_ != 0) {
       ticker_sched_->CancelTimer(ticker_timer_);
       ticker_timer_ = 0;
       ticker_sched_ = nullptr;
     }
-    {
-      std::lock_guard<std::mutex> lock(ticker_mu_);
-      stop_ = true;
-    }
-    ticker_cv_.notify_all();
-    if (ticker_.joinable()) ticker_.join();
   }
 
  private:
@@ -147,10 +122,6 @@ class TimestampAuthority {
   /// ts -> owners of in-flight commits at ts; ordered so begin() = oldest.
   std::map<Timestamp, std::vector<SiteId>> inflight_;
 
-  std::mutex ticker_mu_;
-  std::condition_variable ticker_cv_;
-  bool stop_ = false;
-  std::thread ticker_;
   runtime::Scheduler* ticker_sched_ = nullptr;
   runtime::TimerId ticker_timer_ = 0;
 };

@@ -83,20 +83,6 @@ struct RunState {
   }
 };
 
-bool WaitForTxnDrain(Cluster* cluster, std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  for (;;) {
-    bool active = false;
-    for (int i = 0; i < cluster->num_workers(); ++i) {
-      Worker* w = cluster->worker(i);
-      if (w->running() && !w->txns()->ActiveIds().empty()) active = true;
-    }
-    if (!active) return true;
-    if (Clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
 OpKind PickKind(Session* s) {
   double total = 0;
   for (double w : s->mix->weights) total += w;
@@ -207,7 +193,6 @@ WorkloadDriver::WorkloadDriver(SoakOptions options)
   if (options_.mixes.empty()) {
     options_.mixes = {TrickleUpdateMix(8), ScanHeavyMix(4)};
   }
-  if (options_.threads < 1) options_.threads = 1;
 }
 
 namespace {
@@ -543,18 +528,17 @@ Result<SoakReport> WorkloadDriver::Run() {
   }
 
   // ---- Settle: consensus, coordinator restart, worker recovery ----
-  if (!coord->running()) {
-    if (IsThreePhase(opt.protocol)) {
-      // Surviving workers resolve in-flight transactions among themselves.
-      WaitForTxnDrain(cluster.get(), std::chrono::milliseconds(10000));
-      HARBOR_RETURN_NOT_OK(coord->Restart());
-    } else {
-      HARBOR_RETURN_NOT_OK(coord->Restart());
-      WaitForTxnDrain(cluster.get(), std::chrono::milliseconds(10000));
-    }
-  } else if (!WaitForTxnDrain(cluster.get(),
-                              std::chrono::milliseconds(10000))) {
-    return Status::Internal("transactions failed to drain after the soak");
+  // Under 3PC the surviving workers resolve in-flight transactions among
+  // themselves before the coordinator returns; under 2PC prepared workers
+  // wait for the restarted coordinator's logged decisions (§4.3.2).
+  const bool restart = !coord->running();
+  if (restart && !IsThreePhase(opt.protocol)) {
+    HARBOR_RETURN_NOT_OK(coord->Restart());
+  }
+  HARBOR_RETURN_NOT_OK(
+      cluster->WaitForTxnDrain(std::chrono::milliseconds(10000)));
+  if (restart && IsThreePhase(opt.protocol)) {
+    HARBOR_RETURN_NOT_OK(coord->Restart());
   }
   RecoveryOptions ropt;
   ropt.max_attempts = 5;

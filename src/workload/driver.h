@@ -66,11 +66,6 @@ struct SoakOptions {
   std::vector<SessionMix> mixes;
   /// Horizon of scheduled arrivals (the run then settles and verifies).
   int64_t duration_ms = 1000;
-  /// Legacy knob from the thread-per-group driver; sessions now issue from
-  /// per-session strands on the cluster's shared scheduler (each strand is
-  /// width-1 so a session's operations stay FIFO — the serial reference
-  /// model). Kept so existing harness configs keep parsing.
-  int threads = 4;
   /// Rows bulk-loaded (ids -1..-preload_rows) into a sealed segment before
   /// the run, so scans cover a real sealed/columnar read path. Preload rows
   /// are outside every session's key range and must survive bit-identical.

@@ -155,20 +155,6 @@ std::map<int64_t, int64_t> ReplicaRows(Cluster* cluster, int w,
   return out;
 }
 
-bool WaitForTxnDrain(Cluster* cluster, std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool active = false;
-    for (int i = 0; i < cluster->num_workers(); ++i) {
-      Worker* w = cluster->worker(i);
-      if (w->running() && !w->txns()->ActiveIds().empty()) active = true;
-    }
-    if (!active) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
 // A continuous lock-free reader running through the chaos: every Query in
 // the default (snapshot) mode must either succeed with an internally
 // consistent result — no logical tuple visible twice (the torn-read
@@ -356,21 +342,24 @@ void RunChaos(const ChaosSchedule& schedule, CommitProtocol protocol) {
     if (IsThreePhase(protocol)) {
       // 3PC claim: the surviving workers resolve every in-flight
       // transaction among themselves — BEFORE the coordinator returns.
-      EXPECT_TRUE(WaitForTxnDrain(cluster.get(),
-                                  std::chrono::milliseconds(5000)))
-          << "3PC consensus must terminate without the coordinator";
+      const Status drained =
+          cluster->WaitForTxnDrain(std::chrono::milliseconds(5000));
+      EXPECT_TRUE(drained.ok())
+          << "3PC consensus must terminate without the coordinator: "
+          << drained.ToString();
       ASSERT_OK(coord->Restart());
     } else {
       // 2PC claim: prepared workers may block until the coordinator
       // restarts and re-delivers its logged decisions (§4.3.2).
       ASSERT_OK(coord->Restart());
-      EXPECT_TRUE(WaitForTxnDrain(cluster.get(),
-                                  std::chrono::milliseconds(5000)))
-          << "2PC workers must unblock once the coordinator restarts";
+      const Status drained =
+          cluster->WaitForTxnDrain(std::chrono::milliseconds(5000));
+      EXPECT_TRUE(drained.ok())
+          << "2PC workers must unblock once the coordinator restarts: "
+          << drained.ToString();
     }
   } else {
-    ASSERT_TRUE(WaitForTxnDrain(cluster.get(),
-                                std::chrono::milliseconds(5000)));
+    ASSERT_OK(cluster->WaitForTxnDrain(std::chrono::milliseconds(5000)));
   }
 
   // Recovery terminates for every crashed worker.

@@ -215,23 +215,9 @@ void RegisterClusterCrashHandlers(FaultInjector* fi, Cluster* cluster) {
   }
 }
 
-// Waits until no running worker has an active transaction (the consensus /
-// abort aftermath of a coordinator crash has settled).
-bool WaitForTxnDrain(Cluster* cluster,
-                     std::chrono::milliseconds timeout =
-                         std::chrono::milliseconds(3000)) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool active = false;
-    for (int i = 0; i < cluster->num_workers(); ++i) {
-      Worker* w = cluster->worker(i);
-      if (w->running() && !w->txns()->ActiveIds().empty()) active = true;
-    }
-    if (!active) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
+// How long the consensus / abort aftermath of a coordinator crash may take
+// to settle.
+constexpr std::chrono::milliseconds kDrainTimeout{3000};
 
 // Ids visible in worker w's replica at `as_of`, read directly from its
 // store (the coordinator may be dead).
@@ -323,7 +309,7 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePendingAborts) {
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   EXPECT_FALSE(rig.cluster->coordinator()->running());
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 0u);
@@ -340,7 +326,7 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePreparedAborts) {
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 0u);
@@ -357,7 +343,7 @@ TEST(CoordinatorCrashMatrixTest, ThreePhasePreparedToCommitCommits) {
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 1u);
@@ -381,7 +367,7 @@ TEST(CoordinatorCrashMatrixTest, ThreePhaseMixedCommitStateCommits) {
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 1u);
@@ -396,7 +382,7 @@ TEST(CoordinatorCrashMatrixTest, TwoPhasePendingAborts) {
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 0u);
@@ -422,7 +408,7 @@ TEST(CoordinatorCrashMatrixTest, TwoPhasePreparedBlocksUntilRestart) {
 
   // Restart re-reads the decision log and re-delivers COMMIT (§4.3.2).
   ASSERT_OK(rig.cluster->coordinator()->Restart());
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 1u);
@@ -439,14 +425,113 @@ TEST(CoordinatorCrashMatrixTest, TwoPhaseCommittedSurvivesRestart) {
   RegisterClusterCrashHandlers(&fi, rig.cluster.get());
   Status st = CommitThroughCrashPoint(&rig, &fi, 1);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   ASSERT_OK(rig.cluster->coordinator()->Restart());
-  ASSERT_TRUE(WaitForTxnDrain(rig.cluster.get()));
+  ASSERT_OK(rig.cluster->WaitForTxnDrain(kDrainTimeout));
   rig.cluster->AdvanceEpoch();
   const Timestamp now = rig.cluster->authority()->StableTime();
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 0, now).count(1), 1u);
   EXPECT_EQ(VisibleIds(rig.cluster.get(), 1, now).count(1), 1u);
 }
+
+// ------------------------------------------ crashes racing crash handling
+
+// Waits until `fi` has fired its first fault.
+void WaitForFirstFault(const FaultInjector& fi) {
+  while (fi.fired().empty()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(SimultaneousCrashTest, CrashWaitsForPeerCrashCallbackOnItsRuntime) {
+  // Two workers crash at once. Worker B's crash runs worker A's crash
+  // callback, which a fault point holds open while A crashes too. A's
+  // Crash must wait for the callback: it then aborts a transaction B
+  // coordinated on A's runtime, which must still be alive.
+  MatrixRig rig = MakeMatrixRig(CommitProtocol::kOptimized2PC);
+  Cluster* cluster = rig.cluster.get();
+  const SiteId a = Cluster::WorkerSite(0);
+  const SiteId b = Cluster::WorkerSite(1);
+  ExecUpdateMsg dml;
+  dml.txn = 777;
+  dml.coordinator = b;
+  dml.request.kind = UpdateRequest::Kind::kInsert;
+  dml.request.table_id = rig.table;
+  dml.request.values = {Value(int64_t{1}), Value(int64_t{1}), Value("x")};
+  dml.request.tuple_id = 9001;
+  ASSERT_OK(cluster->network()->Call(b, a, dml.Encode()).status());
+  ASSERT_EQ(cluster->worker(0)->ActiveTxnIds().size(), 1u);
+
+  ChaosSchedule sched;
+  PointFault hold;
+  hold.point = "worker.site_crash";
+  hold.site = a;
+  hold.action = FaultAction::kDelay;
+  hold.delay_ms = 300;
+  sched.points.push_back(hold);
+  FaultInjector fi(sched, &cluster->observer());
+  fi.Install();
+  std::thread crash_b([cluster] { cluster->CrashWorker(1); });
+  WaitForFirstFault(fi);
+  cluster->CrashWorker(0);
+  bool aborted = false;
+  for (const obs::TraceEvent& e : cluster->observer().MergedTrace()) {
+    if (e.site == a && e.txn == dml.txn &&
+        std::string(e.kind) == "worker.aborted") {
+      aborted = true;
+    }
+  }
+  EXPECT_TRUE(aborted) << "A's Crash returned before its crash callback ran";
+  crash_b.join();
+  fi.Uninstall();
+  EXPECT_FALSE(cluster->worker(0)->running());
+  EXPECT_FALSE(cluster->worker(1)->running());
+  // Both replicas are gone, so restart from the files without recovery.
+  ASSERT_OK(cluster->worker(0)->Start());
+  ASSERT_OK(cluster->worker(1)->Start());
+  EXPECT_TRUE(cluster->worker(0)->ActiveTxnIds().empty());
+}
+
+class LateRegistrationTest
+    : public ::testing::TestWithParam<CommitProtocol> {};
+
+TEST_P(LateRegistrationTest, DmlHeldAcrossCoordinatorCrashStillTerminates) {
+  // The coordinator crashes while worker 1's DML handler is held before it
+  // registers the transaction, so the crash callback's scan misses it. The
+  // handler must terminate the transaction itself once it registers.
+  MatrixRig rig = MakeMatrixRig(GetParam());
+  Cluster* cluster = rig.cluster.get();
+  Coordinator* coord = cluster->coordinator();
+  ChaosSchedule sched;
+  PointFault hold;
+  hold.point = "worker.exec_update";
+  hold.site = Cluster::WorkerSite(0);
+  hold.action = FaultAction::kDelay;
+  hold.delay_ms = 300;
+  sched.points.push_back(hold);
+  FaultInjector fi(sched, &cluster->observer());
+  ASSERT_OK_AND_ASSIGN(TxnId txn, coord->Begin());
+  fi.Install();
+  std::thread client([&] {
+    (void)coord->Insert(txn, rig.table,
+                        {Value(int64_t{1}), Value(int64_t{1}), Value("x")});
+  });
+  WaitForFirstFault(fi);
+  coord->Crash();
+  client.join();  // the held handler has registered the transaction
+  EXPECT_OK(cluster->WaitForTxnDrain(std::chrono::milliseconds(1000)));
+  fi.Uninstall();
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, LateRegistrationTest,
+                         ::testing::Values(CommitProtocol::kOptimized2PC,
+                                           CommitProtocol::kOptimized3PC),
+                         [](const auto& info) {
+                           return info.param ==
+                                          CommitProtocol::kOptimized2PC
+                                      ? std::string("TwoPhase")
+                                      : std::string("ThreePhase");
+                         });
 
 // -------------------------------------------- §5.5: failures DURING recovery
 

@@ -52,14 +52,6 @@ TEST(TimestampAuthorityTest, OldestInflightWins) {
   EXPECT_EQ(auth.StableTime(), 6u);
 }
 
-TEST(TimestampAuthorityTest, TickerAdvances) {
-  TimestampAuthority auth(1);
-  auth.StartTicker(5);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  auth.StopTicker();
-  EXPECT_GT(auth.Now(), 2u);
-}
-
 // --------------------------------------------------------- VersionStore
 
 class VersionStoreTest : public ::testing::Test {

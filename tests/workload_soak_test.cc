@@ -26,7 +26,6 @@ SoakOptions SmokeOptions(uint64_t seed_salt) {
   opt.mixes = {workload::TrickleUpdateMix(4, 150.0),
                workload::ScanHeavyMix(2, 80.0)};
   opt.duration_ms = 300;
-  opt.threads = 3;
   opt.preload_rows = 128;
   opt.forced_recoveries = 1;
   return opt;
