@@ -82,12 +82,6 @@ BufferPool::BufferPool(FileManager* fm, size_t capacity_pages,
   }
 }
 
-BufferPool::BufferPool(FileManager* fm, size_t capacity_pages,
-                       obs::Metrics& metrics, EvictionPolicy eviction,
-                       StealPolicy steal)
-    : BufferPool(fm, capacity_pages, metrics,
-                 Options{.eviction = eviction, .steal = steal}) {}
-
 BufferPool::~BufferPool() = default;
 
 void BufferPool::Unpin(size_t frame_idx) {

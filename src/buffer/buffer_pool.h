@@ -68,6 +68,20 @@ class PageHandle {
   size_t frame_ = 0;
 };
 
+/// BufferPool construction options (namespace scope so the constructor can
+/// default them with `= {}`).
+struct BufferPoolOptions {
+  EvictionPolicy eviction = EvictionPolicy::kRandom;
+  StealPolicy steal = StealPolicy::kSteal;
+  /// Number of page-table shards; 0 picks a power of two scaled to the
+  /// capacity (roughly one shard per 8 frames, capped at 64).
+  size_t shards = 0;
+  /// Victim-search attempts before giving up with ResourceExhausted. Each
+  /// failed attempt waits up to `victim_wait` for some pin to drop.
+  int victim_attempts = 3;
+  std::chrono::milliseconds victim_wait{5000};
+};
+
 /// \brief The page cache for one site (§6.1.3), sharded for concurrency.
 ///
 /// Sits between the operators/versioning layer above and the heap files
@@ -93,26 +107,12 @@ class PageHandle {
 /// the single-mutex pool — only the locks held while they run have changed.
 class BufferPool {
  public:
-  struct Options {
-    EvictionPolicy eviction = EvictionPolicy::kRandom;
-    StealPolicy steal = StealPolicy::kSteal;
-    /// Number of page-table shards; 0 picks a power of two scaled to the
-    /// capacity (roughly one shard per 8 frames, capped at 64).
-    size_t shards = 0;
-    /// Victim-search attempts before giving up with ResourceExhausted. Each
-    /// failed attempt waits up to `victim_wait` for some pin to drop.
-    int victim_attempts = 3;
-    std::chrono::milliseconds victim_wait{5000};
-  };
+  using Options = BufferPoolOptions;
 
   /// Misses, evictions and dirty-victim flushes are counted in `metrics`,
   /// the owning site's registry; hits stay in the shard-local counters.
   BufferPool(FileManager* fm, size_t capacity_pages, obs::Metrics& metrics,
-             Options options);
-  /// Convenience constructor used by tests/benches predating Options.
-  BufferPool(FileManager* fm, size_t capacity_pages, obs::Metrics& metrics,
-             EvictionPolicy eviction = EvictionPolicy::kRandom,
-             StealPolicy steal = StealPolicy::kSteal);
+             Options options = {});
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;

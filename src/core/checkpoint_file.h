@@ -35,8 +35,8 @@ struct StreamResume {
   /// stream copies. Parallel multi-buddy recovery splits the round's
   /// (checkpoint, round_hwm] range into such windows, one stream per buddy;
   /// a resumed round rebuilds the interrupted round's geometry from the
-  /// stored windows. window_hi == 0 means "the whole round range" — the
-  /// single-stream form.
+  /// stored windows. Every written window has window_lo < window_hi; an
+  /// entry with window_hi <= window_lo is stale and covers nothing.
   uint32_t stream_index = 0;
   Timestamp window_lo = 0;
   Timestamp window_hi = 0;

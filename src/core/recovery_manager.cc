@@ -13,10 +13,20 @@
 
 namespace harbor {
 
+namespace {
+/// Re-run Phase 2 while the stable time has moved more than this past the
+/// object's HWM, up to kMaxPhase2Rounds rounds (§5.3: "Phase 2 can be
+/// repeated additional times before proceeding to Phase 3").
+constexpr Timestamp kPhase2LagThreshold = 2;
+constexpr int kMaxPhase2Rounds = 4;
+}  // namespace
+
 RecoveryManager::RecoveryManager(Worker* worker, RecoveryOptions options)
     : worker_(worker),
       metrics_(worker->metrics()),
-      options_(std::move(options)) {}
+      options_(std::move(options)) {
+  HARBOR_CHECK(options_.stream_chunk_tuples > 0);
+}
 
 bool RecoveryManager::BuddyUsable(SiteId site) const {
   // Only a fully online site may serve as a recovery buddy: a site that is
@@ -67,11 +77,10 @@ Status RecoveryManager::RunPhase1(ObjectPlan* plan) {
   // cursor tuple id belong to later, possibly-unflushed chunks and must go.
   const auto covered = [plan](Timestamp ts, TupleId tid) {
     for (const StreamResume& r : plan->resume) {
-      // Window (window_lo, window_hi]; 0 bounds mean unbounded (legacy V2
-      // watermarks cover the whole round range). Windows are disjoint, so
-      // the first containing window decides.
-      if (r.window_lo != 0 && ts <= r.window_lo) continue;
-      if (r.window_hi != 0 && ts > r.window_hi) continue;
+      // Window (window_lo, window_hi]; an entry with hi <= lo is stale and
+      // contains nothing. Windows are disjoint, so the first containing
+      // window decides.
+      if (ts <= r.window_lo || ts > r.window_hi) continue;
       return ts < r.insertion_ts ||
              (ts == r.insertion_ts && tid <= r.tuple_id);
     }
@@ -128,14 +137,6 @@ Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
                   SiteId buddy, ScanMsg msg, size_t chunk_tuples,
                   const std::function<Status(ScanReplyMsg&)>& apply) {
   msg.max_tuples = static_cast<uint32_t>(chunk_tuples);
-  if (msg.max_tuples == 0) {
-    HARBOR_ASSIGN_OR_RETURN(Message reply,
-                            net->Call(self, buddy, msg.Encode()));
-    metrics.histogram(obs::HistogramId::kRecoveryChunkBytes)
-        .Record(reply.WireBytes());
-    HARBOR_ASSIGN_OR_RETURN(ScanReplyMsg decoded, ScanReplyMsg::Decode(reply));
-    return apply(decoded);
-  }
   // Double-buffered pipeline: while chunk N applies locally, chunk N+1 is
   // already on the wire. Each reply carries the next cursor, so the fetch
   // for N+1 can be issued before N is consumed.
@@ -178,20 +179,30 @@ Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
 
 Status RecoveryManager::StreamScan(
     const RecoveryObject& piece, ScanMsg msg,
-    const std::function<Status(ScanReplyMsg&)>& apply) {
-  return harbor::StreamScan(worker_->network(), metrics_, worker_->site_id(),
-                            piece.site, std::move(msg),
-                            options_.stream_chunk_tuples, apply);
+    const std::function<Status(ScanReplyMsg&)>& apply, bool* retriable) {
+  Status apply_status;
+  Status st = harbor::StreamScan(
+      worker_->network(), metrics_, worker_->site_id(), piece.site,
+      std::move(msg), options_.stream_chunk_tuples,
+      [&](ScanReplyMsg& decoded) { return apply_status = apply(decoded); });
+  // Only an abruptly-closed-socket failure (kUnavailable, §5.5.1) is safe to
+  // fail over — whether it surfaced on the wire or out of the apply callback
+  // before any row of the chunk landed (the cursor has not moved for the
+  // failed chunk). Any other apply error would repeat identically against
+  // every replica.
+  *retriable = !st.ok() && st.IsUnavailable() &&
+               (apply_status.ok() || apply_status.IsUnavailable());
+  return st;
 }
 
 Status RecoveryManager::ApplyRemoteDeletions(
     ObjectPlan* plan, const RecoveryObject& piece, Timestamp ins_after,
-    Timestamp ins_at_or_before, Timestamp del_after, Timestamp hwm,
-    bool historical, size_t* copied, bool* retriable) {
+    Timestamp ins_at_or_before, Timestamp hwm, size_t* copied,
+    bool* retriable) {
   // SELECT REMOTELY tuple_id, deletion_time FROM recovery_object
   //   SEE DELETED [HISTORICAL WITH TIME hwm]
   //   WHERE recovery_predicate AND insertion_time <= ins_bound
-  //     [AND insertion_time > ins_after] AND deletion_time > from
+  //     [AND insertion_time > ins_after] AND deletion_time > checkpoint
   // The insertion bounds restrict the pass to tuples Phase 1 *kept* — the
   // base below the checkpoint and, on a resumed stream, the already-copied
   // prefix of its window — whose post-checkpoint deletions Phase 1 undid.
@@ -199,8 +210,8 @@ Status RecoveryManager::ApplyRemoteDeletions(
   // included and need no pass.
   ScanMsg scan;
   scan.spec.object_id = piece.object_id;
-  scan.spec.mode = historical ? ScanMode::kSeeDeletedHistorical
-                              : ScanMode::kSeeDeleted;
+  scan.spec.mode = hwm != 0 ? ScanMode::kSeeDeletedHistorical
+                            : ScanMode::kSeeDeleted;
   scan.spec.as_of = hwm;
   if (ins_after > 0) {
     scan.spec.has_insertion_after = true;
@@ -209,79 +220,68 @@ Status RecoveryManager::ApplyRemoteDeletions(
   scan.spec.has_insertion_at_or_before = true;
   scan.spec.insertion_at_or_before = ins_at_or_before;
   scan.spec.has_deletion_after = true;
-  scan.spec.deletion_after = del_after;
+  scan.spec.deletion_after = plan->checkpoint;
   scan.spec.range = piece.predicate;
   scan.minimal_projection = true;
   VersionStore* store = worker_->store();
   TableObject* obj = plan->obj;
-  Status apply_status;
-  Status st = StreamScan(piece, std::move(scan), [&](ScanReplyMsg& decoded) {
-    apply_status = [&]() -> Status {
-      if (decoded.id_deletions.empty()) return Status::OK();
-      // UPDATE LOCALLY rec SET deletion_time = del_time
-      //   WHERE tuple_id = tup_id AND deletion_time = 0
-      // The matching local version shares the remote version's insertion
-      // time, so the header-only key scan below prunes to the segments whose
-      // insertion range covers the shipped timestamps — the local side of
-      // recovery pays per *affected historical segment*, exactly like the
-      // remote side (§6.4.2) — and stamps the matches in place.
-      // Skipping already-deleted versions also makes the pass idempotent, so
-      // a failed-over stream can simply re-run it.
-      std::unordered_map<TupleId, Timestamp> wanted;
-      Timestamp lo = decoded.id_deletions.front().insertion_ts;
-      Timestamp hi = lo;
-      for (const IdDeletion& d : decoded.id_deletions) {
-        wanted.emplace(d.tuple_id, d.deletion_ts);
-        lo = std::min(lo, d.insertion_ts);
-        hi = std::max(hi, d.insertion_ts);
-      }
-      ScanSpec local;
-      local.object_id = obj->object_id;
-      local.mode = ScanMode::kSeeDeleted;
-      if (lo > 0) {
-        // lo == 0 must NOT set insertion_after = lo - 1: the uint64 wraps to
-        // UINT64_MAX and the scan silently matches nothing, dropping every
-        // shipped deletion.
-        local.has_insertion_after = true;
-        local.insertion_after = lo - 1;
-      }
-      local.has_insertion_at_or_before = true;
-      local.insertion_at_or_before = hi;
-      SeqScanOperator local_scan(store, obj, std::move(local));
-      HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> candidates,
-                              local_scan.ScanKeys());
-      for (const VersionKey& k : candidates) {
-        if (k.deletion_ts != kNotDeleted) continue;  // older version
-        auto it = wanted.find(k.tuple_id);
-        if (it == wanted.end()) continue;
-        HARBOR_RETURN_NOT_OK(store->SetDeletionTs(obj, k.rid, it->second));
-        (*copied)++;
-      }
-      return Status::OK();
-    }();
-    return apply_status;
-  });
-  if (retriable != nullptr) {
-    // Only an abruptly-closed-socket failure (kUnavailable, §5.5.1) is safe
-    // to fail over — whether it surfaced on the wire or out of the apply
-    // callback before any row of the chunk landed. Any other apply error
-    // would repeat identically against every replica.
-    *retriable = !st.ok() && st.IsUnavailable() &&
-                 (apply_status.ok() || apply_status.IsUnavailable());
-  }
-  return st;
+  const auto apply = [&](ScanReplyMsg& decoded) -> Status {
+    if (decoded.id_deletions.empty()) return Status::OK();
+    // UPDATE LOCALLY rec SET deletion_time = del_time
+    //   WHERE tuple_id = tup_id AND deletion_time = 0
+    // The matching local version shares the remote version's insertion
+    // time, so the header-only key scan below prunes to the segments whose
+    // insertion range covers the shipped timestamps — the local side of
+    // recovery pays per *affected historical segment*, exactly like the
+    // remote side (§6.4.2) — and stamps the matches in place.
+    // Skipping already-deleted versions also makes the pass idempotent, so
+    // a failed-over stream can simply re-run it.
+    std::unordered_map<TupleId, Timestamp> wanted;
+    Timestamp lo = decoded.id_deletions.front().insertion_ts;
+    Timestamp hi = lo;
+    for (const IdDeletion& d : decoded.id_deletions) {
+      wanted.emplace(d.tuple_id, d.deletion_ts);
+      lo = std::min(lo, d.insertion_ts);
+      hi = std::max(hi, d.insertion_ts);
+    }
+    ScanSpec local;
+    local.object_id = obj->object_id;
+    local.mode = ScanMode::kSeeDeleted;
+    if (lo > 0) {
+      // lo == 0 must NOT set insertion_after = lo - 1: the uint64 wraps to
+      // UINT64_MAX and the scan silently matches nothing, dropping every
+      // shipped deletion.
+      local.has_insertion_after = true;
+      local.insertion_after = lo - 1;
+    }
+    local.has_insertion_at_or_before = true;
+    local.insertion_at_or_before = hi;
+    SeqScanOperator local_scan(store, obj, std::move(local));
+    HARBOR_ASSIGN_OR_RETURN(std::vector<VersionKey> candidates,
+                            local_scan.ScanKeys());
+    for (const VersionKey& k : candidates) {
+      if (k.deletion_ts != kNotDeleted) continue;  // older version
+      auto it = wanted.find(k.tuple_id);
+      if (it == wanted.end()) continue;
+      HARBOR_RETURN_NOT_OK(store->SetDeletionTs(obj, k.rid, it->second));
+      (*copied)++;
+    }
+    return Status::OK();
+  };
+  return StreamScan(piece, std::move(scan), apply, retriable);
 }
 
 Status RecoveryManager::CopyRemoteInsertions(
     ObjectPlan* plan, const RecoveryObject& piece, const StreamWindow& window,
-    Timestamp hwm, bool historical, bool durable_watermarks,
-    StreamCursor* cursor, Timestamp* cap, size_t* copied, bool* retriable) {
+    Timestamp hwm, bool durable_watermarks, StreamCursor* cursor,
+    Timestamp* cap, size_t* copied, bool* retriable) {
   // INSERT LOCALLY INTO rec
   //   (SELECT REMOTELY * FROM recovery_object SEE DELETED
   //      [HISTORICAL WITH TIME hwm]
   //      WHERE recovery_predicate AND insertion_time > window.lo
   //        [AND insertion_time <= window.hi]
   //        [AND insertion_time != uncommitted])
+  const bool historical = hwm != 0;
   ScanMsg scan;
   scan.spec.object_id = piece.object_id;
   scan.spec.mode = historical ? ScanMode::kSeeDeletedHistorical
@@ -290,16 +290,14 @@ Status RecoveryManager::CopyRemoteInsertions(
   scan.spec.has_insertion_after = true;
   scan.spec.insertion_after = window.lo;
   if (window.hi != 0 && window.hi < hwm) {
-    // An interior window carries its own upper bound; the top window (and
-    // the legacy single stream) stays unbounded and rides the buddy-pinned
-    // cap instead.
+    // An interior window carries its own upper bound; the top window stays
+    // unbounded and rides the buddy-pinned cap instead.
     scan.spec.has_insertion_at_or_before = true;
     scan.spec.insertion_at_or_before = window.hi;
   }
   scan.spec.exclude_uncommitted = !historical;  // §5.4.1's extra check
   scan.spec.range = piece.predicate;
-  const SiteId self = worker_->site_id();
-  if (cursor != nullptr && cursor->has_value()) {
+  if (cursor->has_value()) {
     // Resume the stream strictly past the cursor — the durable watermark of
     // a previous attempt, or the in-memory position of a failed-over
     // stream; everything at or below it is already applied.
@@ -311,73 +309,54 @@ Status RecoveryManager::CopyRemoteInsertions(
                    static_cast<int64_t>(plan->obj->object_id),
                    static_cast<int64_t>((*cursor)->first));
   }
-  if (cap != nullptr && *cap > 0) {
-    // Carry the original buddy's pinned insertion cap across failover so
-    // the stream stays bounded to the same logical tuple set.
-    scan.cap_insertion_ts = *cap;
-  }
+  // Carry the original buddy's pinned insertion cap across failover so the
+  // stream stays bounded to the same logical tuple set (0 = none yet).
+  scan.cap_insertion_ts = *cap;
+  const SiteId self = worker_->site_id();
   VersionStore* store = worker_->store();
   TableObject* obj = plan->obj;
   int chunks_since_mark = 0;
-  Status apply_status;
-  Status st = StreamScan(piece, std::move(scan), [&](ScanReplyMsg& decoded) {
-    apply_status = [&]() -> Status {
-      // Replicas may store columns in different orders; copy by name (§3.1).
-      HARBOR_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                              obj->schema.MappingFrom(decoded.schema));
-      if (durable_watermarks) {
-        HARBOR_FAULT_POINT("recovery.phase2.chunk", self);
-      }
-      // Concurrent same-object streams apply without mutual exclusion: the
-      // batch insert skips pages a competitor fills first, and the index,
-      // segment headers, and checkpoint file all lock internally.
-      // Serializing here would put the whole round on one core and cap the
-      // multi-buddy speedup at the single-stream apply rate.
-      std::vector<Tuple> remapped;
-      remapped.reserve(decoded.tuples.size());
-      for (const Tuple& t : decoded.tuples) {
-        remapped.push_back(t.RemapColumns(mapping));
-      }
-      HARBOR_RETURN_NOT_OK(store->InsertCommittedTuples(obj, remapped,
-                                                        copied));
-      if (durable_watermarks && decoded.truncated && !decoded.tuples.empty() &&
-          options_.watermark_interval_chunks > 0 &&
-          ++chunks_since_mark >= options_.watermark_interval_chunks) {
-        chunks_since_mark = 0;
-        // Durability order: the copied pages must be on disk before the
-        // watermark that claims them — the chunk-granularity version of
-        // §5.3's checkpoint rule. The watermark names its stream and window
-        // so a later attempt reconstructs the round's full layout.
-        HARBOR_RETURN_NOT_OK(worker_->pool()->FlushAll());
-        HARBOR_RETURN_NOT_OK(obj->file->SyncHeaderIfDirty());
-        const StreamResume mark{hwm,
-                                decoded.last_insertion_ts,
-                                decoded.last_tuple_id,
-                                window.stream_index,
-                                window.lo,
-                                window.hi};
-        HARBOR_RETURN_NOT_OK(
-            worker_->WriteObjectResume(obj->object_id, mark));
-      }
-      if (cursor != nullptr && decoded.truncated) {
-        *cursor = std::make_pair(decoded.last_insertion_ts,
-                                 decoded.last_tuple_id);
-      }
-      if (cap != nullptr && decoded.cap_insertion_ts > 0) {
-        *cap = decoded.cap_insertion_ts;
-      }
-      return Status::OK();
-    }();
-    return apply_status;
-  });
-  if (retriable != nullptr) {
-    // Same rule as the deletion pass: kUnavailable (wire, or the fault
-    // point at the head of the apply callback — the cursor has not moved
-    // for the failed chunk) fails over; other apply errors are fatal.
-    *retriable = !st.ok() && st.IsUnavailable() &&
-                 (apply_status.ok() || apply_status.IsUnavailable());
-  }
-  return st;
+  const auto apply = [&](ScanReplyMsg& decoded) -> Status {
+    // Replicas may store columns in different orders; copy by name (§3.1).
+    HARBOR_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
+                            obj->schema.MappingFrom(decoded.schema));
+    if (durable_watermarks) {
+      HARBOR_FAULT_POINT("recovery.phase2.chunk", self);
+    }
+    // Concurrent same-object streams apply without mutual exclusion: the
+    // batch insert skips pages a competitor fills first, and the index,
+    // segment headers, and checkpoint file all lock internally.
+    // Serializing here would put the whole round on one core and cap the
+    // multi-buddy speedup at the single-stream apply rate.
+    std::vector<Tuple> remapped;
+    remapped.reserve(decoded.tuples.size());
+    for (const Tuple& t : decoded.tuples) {
+      remapped.push_back(t.RemapColumns(mapping));
+    }
+    HARBOR_RETURN_NOT_OK(store->InsertCommittedTuples(obj, remapped, copied));
+    if (durable_watermarks && decoded.truncated && !decoded.tuples.empty() &&
+        options_.watermark_interval_chunks > 0 &&
+        ++chunks_since_mark >= options_.watermark_interval_chunks) {
+      chunks_since_mark = 0;
+      // Durability order: the copied pages must be on disk before the
+      // watermark that claims them — the chunk-granularity version of
+      // §5.3's checkpoint rule. The watermark names its stream and window
+      // so a later attempt reconstructs the round's full layout.
+      HARBOR_RETURN_NOT_OK(worker_->pool()->FlushAll());
+      HARBOR_RETURN_NOT_OK(obj->file->SyncHeaderIfDirty());
+      const StreamResume mark{hwm, decoded.last_insertion_ts,
+                              decoded.last_tuple_id, window.stream_index,
+                              window.lo, window.hi};
+      HARBOR_RETURN_NOT_OK(worker_->WriteObjectResume(obj->object_id, mark));
+    }
+    if (decoded.truncated) {
+      *cursor = std::make_pair(decoded.last_insertion_ts,
+                               decoded.last_tuple_id);
+    }
+    if (decoded.cap_insertion_ts > 0) *cap = decoded.cap_insertion_ts;
+    return Status::OK();
+  };
+  return StreamScan(piece, std::move(scan), apply, retriable);
 }
 
 Status RecoveryManager::DiscardResume(ObjectPlan* plan) {
@@ -419,8 +398,8 @@ std::vector<RecoveryManager::StreamWindow> RecoveryManager::PlanWindows(
       StreamWindow w;
       w.stream_index = r.stream_index;
       w.lo = std::max(from, r.window_lo);
-      w.hi = (r.window_hi == 0 || r.window_hi > hwm) ? hwm : r.window_hi;
-      if (w.hi <= w.lo) continue;  // stale entry below the checkpoint
+      w.hi = std::min(hwm, r.window_hi);
+      if (w.hi <= w.lo) continue;  // stale entry
       w.resume = r;
       windows.push_back(std::move(w));
       next_index = std::max(next_index, r.stream_index + 1);
@@ -470,8 +449,9 @@ std::vector<RecoveryManager::StreamWindow> RecoveryManager::PlanWindows(
 Status RecoveryManager::RunStream(ObjectPlan* plan,
                                   const std::vector<RecoveryObject>& pool,
                                   const StreamWindow& window, Timestamp hwm,
-                                  std::mutex* stats_mu) {
-  metrics_.counter(obs::CounterId::kRecoveryStreamsStarted).Add();
+                                  bool durable_watermarks) {
+  const bool phase2 = hwm != 0;
+  if (phase2) metrics_.counter(obs::CounterId::kRecoveryStreamsStarted).Add();
   Stopwatch stream_watch;
   StreamCursor cursor;
   if (window.resume.has_value()) {
@@ -509,17 +489,15 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
       Stopwatch del_watch;
       const Timestamp ins_after = window.stream_index == 0 ? 0 : window.lo;
       const Timestamp ins_hi = cursor.has_value() ? cursor->first : window.lo;
-      st = ApplyRemoteDeletions(plan, piece, ins_after, ins_hi,
-                                plan->checkpoint, hwm, /*historical=*/true,
+      st = ApplyRemoteDeletions(plan, piece, ins_after, ins_hi, hwm,
                                 &del_copied, &retriable);
       del_seconds += del_watch.ElapsedSeconds();
       if (st.ok()) need_deletions = false;
     }
     if (st.ok()) {
       Stopwatch ins_watch;
-      st = CopyRemoteInsertions(plan, piece, window, hwm, /*historical=*/true,
-                                /*durable_watermarks=*/true, &cursor, &cap,
-                                &ins_copied, &retriable);
+      st = CopyRemoteInsertions(plan, piece, window, hwm, durable_watermarks,
+                                &cursor, &cap, &ins_copied, &retriable);
       ins_seconds += ins_watch.ElapsedSeconds();
     }
     last = st;
@@ -529,14 +507,19 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
     if (!retriable) break;
   }
   {
-    std::unique_lock<std::mutex> lock;
-    if (stats_mu != nullptr) lock = std::unique_lock<std::mutex>(*stats_mu);
-    plan->stats.phase2_deletions_copied += del_copied;
-    plan->stats.phase2_tuples_copied += ins_copied;
-    plan->stats.phase2_delete_seconds += del_seconds;
-    plan->stats.phase2_insert_seconds += ins_seconds;
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ObjectRecoveryStats& stats = plan->stats;
+    if (phase2) {
+      stats.phase2_deletions_copied += del_copied;
+      stats.phase2_tuples_copied += ins_copied;
+      stats.phase2_delete_seconds += del_seconds;
+      stats.phase2_insert_seconds += ins_seconds;
+    } else {
+      stats.phase3_deletions_copied += del_copied;
+      stats.phase3_tuples_copied += ins_copied;
+    }
   }
-  if (last.ok()) {
+  if (phase2 && last.ok()) {
     metrics_.histogram(obs::HistogramId::kRecoveryStreamNs)
         .Record(stream_watch.ElapsedNanos());
   }
@@ -544,32 +527,22 @@ Status RecoveryManager::RunStream(ObjectPlan* plan,
 }
 
 Status RecoveryManager::RunPhase2Round(ObjectPlan* plan, Timestamp hwm) {
-  const Timestamp from = plan->checkpoint;
   if (plan->cover.size() > 1) {
-    // Partitioned cover: one serial stream per piece. Cursors and durable
-    // watermarks are meaningless across interleaved key ranges (the caller
-    // discarded any), and the pieces' replicas are not interchangeable, so
-    // neither window-splitting nor failover applies.
+    // Partitioned cover: one serial stream per piece, each from its own
+    // one-replica pool. Cursors and durable watermarks are meaningless
+    // across interleaved key ranges (the caller discarded any), and the
+    // pieces' replicas are not interchangeable, so neither window-splitting
+    // nor failover applies.
+    StreamWindow window;
+    window.lo = plan->checkpoint;  // hi stays 0: the buddy pins the cap
     for (const RecoveryObject& piece : plan->cover) {
-      Stopwatch del_watch;
-      HARBOR_RETURN_NOT_OK(ApplyRemoteDeletions(
-          plan, piece, /*ins_after=*/0, from, from, hwm, /*historical=*/true,
-          &plan->stats.phase2_deletions_copied, /*retriable=*/nullptr));
-      plan->stats.phase2_delete_seconds += del_watch.ElapsedSeconds();
-
-      Stopwatch ins_watch;
-      StreamWindow window;
-      window.lo = from;  // hi stays 0: unbounded, the buddy pins the cap
-      HARBOR_RETURN_NOT_OK(CopyRemoteInsertions(
-          plan, piece, window, hwm, /*historical=*/true,
-          /*durable_watermarks=*/false, /*cursor=*/nullptr, /*cap=*/nullptr,
-          &plan->stats.phase2_tuples_copied, /*retriable=*/nullptr));
-      plan->stats.phase2_insert_seconds += ins_watch.ElapsedSeconds();
+      HARBOR_RETURN_NOT_OK(RunStream(plan, {piece}, window, hwm,
+                                     /*durable_watermarks=*/false));
     }
     return Status::OK();
   }
 
-  // Full-replica cover: split (from, hwm] into disjoint insertion-time
+  // Full-replica cover: split (checkpoint, hwm] into disjoint insertion-time
   // windows and stream each from a different buddy concurrently, each with
   // its own durable watermark. The pool is every usable full replica, in
   // PlanCover's rotation order so concurrent recoveries spread load.
@@ -583,15 +556,12 @@ Status RecoveryManager::RunPhase2Round(ObjectPlan* plan, Timestamp hwm) {
       pool.size());
   const std::vector<StreamWindow> windows = PlanWindows(*plan, hwm,
                                                         max_streams);
-  if (windows.size() == 1) {
-    return RunStream(plan, pool, windows[0], hwm, /*stats_mu=*/nullptr);
-  }
-  std::mutex stats_mu;
   std::vector<std::function<Status()>> streams;
   streams.reserve(windows.size());
   for (size_t i = 0; i < windows.size(); ++i) {
     streams.push_back([&, i] {
-      return RunStream(plan, pool, windows[i], hwm, &stats_mu);
+      return RunStream(plan, pool, windows[i], hwm,
+                       /*durable_watermarks=*/true);
     });
   }
   for (const Status& s :
@@ -605,7 +575,7 @@ Status RecoveryManager::RunPhase2(ObjectPlan* plan) {
   TimestampAuthority* authority = worker_->authority();
   Stopwatch watch;
   int rounds_run = 0;
-  for (int round = 0; round < options_.max_phase2_rounds; ++round) {
+  for (int round = 0; round < kMaxPhase2Rounds; ++round) {
     HARBOR_FAULT_POINT("recovery.phase2.round", worker_->site_id());
     // A resumed round must replay against the interrupted round's snapshot:
     // a fresh (later) HWM would skip deletions of already-watermarked
@@ -645,7 +615,7 @@ Status RecoveryManager::RunPhase2(ObjectPlan* plan) {
     plan->checkpoint = hwm;
     // Stop iterating once we are close enough to the present for Phase 3's
     // locked queries to be cheap.
-    if (authority->StableTime() - hwm <= options_.phase2_lag_threshold) break;
+    if (authority->StableTime() - hwm <= kPhase2LagThreshold) break;
   }
   plan->stats.phase2_seconds = watch.ElapsedSeconds();
   plan->stats.hwm = plan->hwm;
@@ -706,6 +676,19 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
     return locks;
   };
   std::vector<std::pair<SiteId, ObjectId>> locks = build_locks();
+  auto table_lock = [&](MsgType type, size_t i) {
+    TableLockMsg msg;
+    msg.type = type;
+    msg.object_id = locks[i].second;
+    msg.owner_site = self;
+    return net->Call(self, locks[i].first, msg.Encode()).status();
+  };
+  // Releases locks[0, held).
+  auto unlock = [&](size_t held) {
+    for (size_t i = 0; i < held; ++i) {
+      (void)table_lock(MsgType::kTableUnlock, i);
+    }
+  };
 
   Status acquired = Status::OK();
   int64_t backoff_ms = 1;
@@ -721,27 +704,13 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
       locks = build_locks();
     }
     acquired = Status::OK();
-    std::vector<std::pair<SiteId, ObjectId>> held;
-    for (const auto& [site, object] : locks) {
-      TableLockMsg msg;
-      msg.type = MsgType::kTableLock;
-      msg.object_id = object;
-      msg.owner_site = self;
-      auto r = net->Call(self, site, msg.Encode());
-      if (!r.ok()) {
-        acquired = r.status();
-        break;
-      }
-      held.emplace_back(site, object);
+    size_t held = 0;
+    while (held < locks.size() &&
+           (acquired = table_lock(MsgType::kTableLock, held)).ok()) {
+      ++held;
     }
     if (acquired.ok()) break;
-    for (const auto& [site, object] : held) {
-      TableLockMsg msg;
-      msg.type = MsgType::kTableUnlock;
-      msg.object_id = object;
-      msg.owner_site = self;
-      (void)net->Call(self, site, msg.Encode());
-    }
+    unlock(held);
   }
   HARBOR_RETURN_NOT_OK(acquired);
 
@@ -753,60 +722,32 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
 
   // With the locks held no pending update transaction touching these
   // objects can commit; copy the final delta with ordinary (non-historical)
-  // SEE DELETED queries (§5.4.1). The deltas stream in bounded chunks like
-  // Phase 2 — in parallel across objects, since the locks are already held
-  // on every piece — but with no durable watermark and no failover: the
-  // locks bind this attempt to these specific replicas, so a failure here
-  // restarts the attempt, and Phase 1 removes any partial Phase-3 copies
-  // (they sit past the object checkpoint).
-  auto copy_final_delta = [this](ObjectPlan* plan) -> Status {
+  // SEE DELETED queries (§5.4.1): one stream per piece with hwm 0, in
+  // parallel across objects since the locks are already held on every
+  // piece, but with no durable watermark and no failover: the locks bind
+  // this attempt to these specific replicas, so a failure here restarts
+  // the attempt, and Phase 1 removes any partial Phase-3 copies (they sit
+  // past the object checkpoint).
+  Status st = ForEachPlan(plans, [this](ObjectPlan* plan) -> Status {
+    // Phase 2 left the object checkpointed at its HWM, so the deletion
+    // pass covers exactly the tuples below it.
+    HARBOR_CHECK(plan->checkpoint == plan->hwm);
+    StreamWindow window;
+    window.lo = plan->hwm;  // hi stays 0: the buddy pins the cap
     for (const RecoveryObject& piece : plan->cover) {
-      HARBOR_RETURN_NOT_OK(ApplyRemoteDeletions(
-          plan, piece, /*ins_after=*/0, plan->hwm, plan->hwm, /*hwm=*/0,
-          /*historical=*/false, &plan->stats.phase3_deletions_copied,
-          /*retriable=*/nullptr));
-      StreamWindow window;
-      window.lo = plan->hwm;  // hi stays 0: unbounded, the buddy pins a cap
-      HARBOR_RETURN_NOT_OK(CopyRemoteInsertions(
-          plan, piece, window, /*hwm=*/0, /*historical=*/false,
-          /*durable_watermarks=*/false, /*cursor=*/nullptr, /*cap=*/nullptr,
-          &plan->stats.phase3_tuples_copied, /*retriable=*/nullptr));
+      HARBOR_RETURN_NOT_OK(RunStream(plan, {piece}, window, /*hwm=*/0,
+                                     /*durable_watermarks=*/false));
     }
     return Status::OK();
-  };
-  Status st = Status::OK();
-  if (options_.parallel && plans->size() > 1) {
-    std::vector<std::function<Status()>> jobs;
-    jobs.reserve(plans->size());
-    for (size_t i = 0; i < plans->size(); ++i) {
-      jobs.push_back([&, i] { return copy_final_delta(&(*plans)[i]); });
-    }
-    for (const Status& s :
-         runtime::RunParallel(worker_->scheduler(), std::move(jobs))) {
-      if (!s.ok()) {
-        st = s;
-        break;
-      }
-    }
-  } else {
-    for (ObjectPlan& plan : *plans) {
-      st = copy_final_delta(&plan);
-      if (!st.ok()) break;
-    }
-  }
+  });
 
   Timestamp checkpoint_time = worker_->authority()->Now() - 1;
-  if (st.ok()) {
-    st = worker_->pool()->FlushAll();
-  }
-  if (st.ok()) {
-    for (ObjectPlan& plan : *plans) {
-      st = plan.obj->file->SyncHeaderIfDirty();
-      if (!st.ok()) break;
-      st = worker_->WriteObjectCheckpoint(plan.obj->object_id,
-                                          checkpoint_time);
-      if (!st.ok()) break;
-    }
+  if (st.ok()) st = worker_->pool()->FlushAll();
+  for (size_t i = 0; i < plans->size() && st.ok(); ++i) {
+    TableObject* obj = (*plans)[i].obj;
+    st = obj->file->SyncHeaderIfDirty();
+    if (st.ok()) st = worker_->WriteObjectCheckpoint(obj->object_id,
+                                                     checkpoint_time);
   }
 
   // Join pending transactions: tell every coordinator that rec on S is
@@ -836,13 +777,7 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
 
   // Release the recovery locks whether or not we succeeded; a failure path
   // restarts recovery and must not leave buddies blocked (§5.5).
-  for (const auto& [site, object] : locks) {
-    TableLockMsg msg;
-    msg.type = MsgType::kTableUnlock;
-    msg.object_id = object;
-    msg.owner_site = self;
-    (void)net->Call(self, site, msg.Encode());
-  }
+  unlock(locks.size());
   HARBOR_RETURN_NOT_OK(st);
 
   // All objects recovered: collapse to a single global checkpoint (§5.3).
@@ -864,6 +799,23 @@ Status RecoveryManager::RunPhase3(std::vector<ObjectPlan>* plans,
 }
 
 // --------------------------------------------------------------- driver
+
+Status RecoveryManager::ForEachPlan(
+    std::vector<ObjectPlan>* plans,
+    const std::function<Status(ObjectPlan*)>& fn) {
+  std::vector<std::function<Status()>> jobs;
+  for (ObjectPlan& plan : *plans) {
+    jobs.push_back([&fn, &plan] { return fn(&plan); });
+  }
+  std::vector<Status> results;
+  if (options_.parallel) {
+    results = runtime::RunParallel(worker_->scheduler(), std::move(jobs));
+  } else {
+    for (const auto& job : jobs) results.push_back(job());
+  }
+  for (const Status& s : results) HARBOR_RETURN_NOT_OK(s);
+  return Status::OK();
+}
 
 Result<RecoveryStats> RecoveryManager::Recover() {
   Status last = Status::OK();
@@ -898,29 +850,12 @@ Result<RecoveryStats> RecoveryManager::Recover() {
     // Phases 1-2, per object — in parallel when configured (§5.1: "multiple
     // rec objects ... recovered in parallel; each object proceeds through
     // the phases at its own pace").
-    auto run_offline_phases = [this](ObjectPlan* plan) -> Status {
+    Stopwatch offline_watch;
+    last = ForEachPlan(&plans, [this](ObjectPlan* plan) -> Status {
       HARBOR_RETURN_NOT_OK(RunPhase1(plan));
       return RunPhase2(plan);
-    };
-    Stopwatch offline_watch;
-    std::vector<Status> results(plans.size(), Status::OK());
-    if (options_.parallel && plans.size() > 1) {
-      std::vector<std::function<Status()>> jobs;
-      jobs.reserve(plans.size());
-      for (size_t i = 0; i < plans.size(); ++i) {
-        jobs.push_back([&, i] { return run_offline_phases(&plans[i]); });
-      }
-      results = runtime::RunParallel(worker_->scheduler(), std::move(jobs));
-    } else {
-      for (size_t i = 0; i < plans.size(); ++i) {
-        results[i] = run_offline_phases(&plans[i]);
-      }
-    }
+    });
     const double offline_seconds = offline_watch.ElapsedSeconds();
-    last = Status::OK();
-    for (const Status& s : results) {
-      if (!s.ok()) last = s;
-    }
     if (!last.ok()) {
       // Recovery buddy failed mid-phase past what in-stream failover could
       // absorb: restart with a fresh plan (§5.5.2) from the per-object
@@ -932,10 +867,9 @@ Result<RecoveryStats> RecoveryManager::Recover() {
     last = RunPhase3(&plans, &phase3_seconds);
     if (!last.ok()) continue;
 
-    const bool ran_parallel = options_.parallel && plans.size() > 1;
     for (const ObjectPlan& plan : plans) {
       stats.objects.push_back(plan.stats);
-      if (ran_parallel) {
+      if (options_.parallel) {
         stats.phase1_seconds =
             std::max(stats.phase1_seconds, plan.stats.phase1_seconds);
         stats.phase2_seconds =

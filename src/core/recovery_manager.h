@@ -23,16 +23,11 @@ struct RecoveryOptions {
   /// covers split; partitioned covers keep one serial stream per piece.
   /// 1 = the classic single-stream behavior.
   int max_parallel_streams = 1;
-  /// Re-run Phase 2 while the stable time has moved more than this past the
-  /// object's HWM, up to the round cap (§5.3: "Phase 2 can be repeated
-  /// additional times before proceeding to Phase 3").
-  Timestamp phase2_lag_threshold = 2;
-  int max_phase2_rounds = 4;
   /// Whole-recovery retry attempts after a recovery-buddy failure (§5.5.2).
   int max_attempts = 3;
-  /// Catch-up chunk size: remote phase-2/3 scans return at most ~this many
-  /// tuples per reply, fetched as a double-buffered pipeline (chunk N+1 is
-  /// in flight while chunk N applies). 0 = one monolithic reply per scan.
+  /// Catch-up chunk size (> 0): remote phase-2/3 scans return at most ~this
+  /// many tuples per reply, fetched as a double-buffered pipeline (chunk
+  /// N+1 is in flight while chunk N applies).
   size_t stream_chunk_tuples = 512;
   /// Advance the durable phase-2 resume watermark every N applied chunks,
   /// so a buddy failure mid-stream resumes instead of re-copying the
@@ -63,9 +58,7 @@ struct ObjectRecoveryStats {
 /// Aggregate timings. phase1/phase2 are derived from the per-object
 /// measurements — max across objects when they recovered in parallel, sum
 /// when serial — while offline_seconds is the directly-measured wall time
-/// of phases 1+2 together (it bounds phase1+phase2 from above; the old code
-/// instead *defined* phase2 as offline minus max(phase1), which mixed
-/// per-object and aggregate clocks and went wrong under parallel recovery).
+/// of phases 1+2 together, so it bounds phase1 + phase2 from above.
 struct RecoveryStats {
   double phase1_seconds = 0;
   double phase2_seconds = 0;
@@ -77,8 +70,7 @@ struct RecoveryStats {
 
 /// Runs one remote scan of `buddy` as a pipelined chunk stream of up to
 /// `chunk_tuples` tuples per reply: chunk N+1 is fetched with CallAsync —
-/// which never runs on the caller — while `apply` consumes chunk N. With
-/// chunk_tuples == 0 this degenerates to one blocking Call.
+/// which never runs on the caller — while `apply` consumes chunk N.
 /// Chunk counts, sizes and apply/stall times are recorded in `metrics`.
 Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
                   SiteId buddy, ScanMsg msg, size_t chunk_tuples,
@@ -100,6 +92,10 @@ Status StreamScan(Network* net, obs::Metrics& metrics, SiteId self,
 ///  - Phase 3 takes table-granularity read locks on every recovery object
 ///    at once, copies the final delta with ordinary queries, then joins
 ///    pending transactions through the coordinator and comes online (§5.4).
+///
+/// Every copy — a Phase-2 window, one piece of a partitioned cover, a
+/// Phase-3 delta — is one RunStream: the same deletion pass and insertion
+/// stream, historical below a HWM in Phase 2 and ordinary reads in Phase 3.
 ///
 /// Unsurvivable buddy failures restart the affected recovery with a fresh
 /// plan (§5.5.2); failures of the recovering site itself simply leave its
@@ -125,8 +121,7 @@ class RecoveryManager {
     ObjectRecoveryStats stats;
   };
 
-  /// One phase-2 catch-up stream's slice of the round: the half-open
-  /// insertion-time window (lo, hi] of the (checkpoint, HWM] range, plus
+  /// One catch-up stream's half-open insertion-time window (lo, hi], plus
   /// the durable watermark to resume from, if any. hi == 0 means
   /// "unbounded above" (the serving buddy pins a cap instead).
   struct StreamWindow {
@@ -144,6 +139,10 @@ class RecoveryManager {
   Status RunPhase2(ObjectPlan* plan);
   Status RunPhase2Round(ObjectPlan* plan, Timestamp hwm);
   Status RunPhase3(std::vector<ObjectPlan>* plans, double* out_seconds);
+  /// Runs fn on every plan — concurrently when options_.parallel (§5.1),
+  /// else one after another — and returns the first failure.
+  Status ForEachPlan(std::vector<ObjectPlan>* plans,
+                     const std::function<Status(ObjectPlan*)>& fn);
 
   Status ComputeCover(ObjectPlan* plan);
   /// Splits the round's (checkpoint, hwm] range into up to max_streams
@@ -152,44 +151,45 @@ class RecoveryManager {
   /// windows under fresh stream indexes.
   std::vector<StreamWindow> PlanWindows(const ObjectPlan& plan, Timestamp hwm,
                                         size_t max_streams) const;
-  /// Runs one phase-2 window to completion against the replica pool:
-  /// deletion pass (when the window owns one) then the insertion stream.
-  /// A buddy dying mid-stream (kUnavailable from the wire, never a local
-  /// apply failure) fails over to the next usable replica at the in-memory
+  /// Runs one window to completion against the replica pool: deletion
+  /// pass (when the window owns one) then the insertion stream. hwm != 0
+  /// makes it a Phase-2 stream of historical queries as of hwm; hwm == 0 a
+  /// Phase-3 one of ordinary reads, counted in the phase3_* stats. Durable
+  /// watermarks only make sense on a full-replica Phase-2 stream. A buddy
+  /// dying mid-stream (kUnavailable from the wire, never a local apply
+  /// failure) fails over to the next usable replica at the in-memory
   /// cursor. Local applies of concurrent same-object streams run without
   /// mutual exclusion — page latches and the internally-locked index /
-  /// segment-header / checkpoint structures carry the safety — so stats_mu
-  /// only guards the final merge into plan->stats (nullptr when the window
-  /// runs alone).
+  /// segment-header / checkpoint structures carry the safety — so stats_mu_
+  /// only guards the final merge into plan->stats.
   Status RunStream(ObjectPlan* plan, const std::vector<RecoveryObject>& pool,
                    const StreamWindow& window, Timestamp hwm,
-                   std::mutex* stats_mu);
+                   bool durable_watermarks);
   /// Abandons unresumable watermarks: wipes everything past the object
   /// checkpoint and durably clears the resume entries so the round restarts
   /// cleanly from the object checkpoint.
   Status DiscardResume(ObjectPlan* plan);
   /// harbor::StreamScan from this worker with the configured chunk size.
+  /// *retriable reports whether a failure is safe to fail over: it came
+  /// from the wire rather than the local apply.
   Status StreamScan(const RecoveryObject& piece, ScanMsg msg,
-                    const std::function<Status(ScanReplyMsg&)>& apply);
+                    const std::function<Status(ScanReplyMsg&)>& apply,
+                    bool* retriable);
   /// Ships deletion times for tuples with ins_after < insertion_ts <=
   /// ins_at_or_before (ins_after == 0 leaves the lower bound unset) and
-  /// deletion_ts > del_after. retriable (may be nullptr) reports whether a
-  /// failure came from the wire (safe to fail over) rather than the local
-  /// apply.
+  /// deletion_ts > the object checkpoint, as of hwm (0 = an ordinary read).
   Status ApplyRemoteDeletions(ObjectPlan* plan, const RecoveryObject& piece,
                               Timestamp ins_after, Timestamp ins_at_or_before,
-                              Timestamp del_after, Timestamp hwm,
-                              bool historical, size_t* copied,
-                              bool* retriable);
-  /// Streams the window's insertions from `piece`, resuming strictly past
-  /// *cursor when set and updating it after every applied chunk; *cap
-  /// carries the buddy-pinned insertion cap across failover. cursor/cap may
-  /// be nullptr (phase 3: no failover).
+                              Timestamp hwm, size_t* copied, bool* retriable);
+  /// Streams the window's insertions from `piece` as of hwm (0 = an
+  /// ordinary read), resuming strictly past *cursor when set and updating
+  /// it after every applied chunk; *cap carries the buddy-pinned insertion
+  /// cap across failover.
   Status CopyRemoteInsertions(ObjectPlan* plan, const RecoveryObject& piece,
                               const StreamWindow& window, Timestamp hwm,
-                              bool historical, bool durable_watermarks,
-                              StreamCursor* cursor, Timestamp* cap,
-                              size_t* copied, bool* retriable);
+                              bool durable_watermarks, StreamCursor* cursor,
+                              Timestamp* cap, size_t* copied,
+                              bool* retriable);
 
   bool BuddyUsable(SiteId site) const;
   /// Prefixes an Unavailable planning failure with the object identity so
@@ -199,6 +199,7 @@ class RecoveryManager {
   Worker* const worker_;
   obs::Metrics& metrics_;  // the worker's site registry
   const RecoveryOptions options_;
+  std::mutex stats_mu_;  // guards RunStream's merge into plan->stats
 };
 
 }  // namespace harbor

@@ -451,7 +451,7 @@ std::vector<Status> RunParallel(Scheduler* sched,
     }
   }
   results[0] = fns[0]();
-  {
+  if (fns.size() > 1) {  // a lone fn posted nothing to wait for
     ScopedBlocking block;
     std::unique_lock<std::mutex> lock(sync->mu);
     sync->cv.wait(lock, [&] { return sync->remaining == 0; });

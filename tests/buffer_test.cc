@@ -66,7 +66,7 @@ TEST_F(BufferPoolTest, DirtyPagesFlushAndSurviveReload) {
 }
 
 TEST_F(BufferPoolTest, EvictionWritesDirtyVictimUnderSteal) {
-  BufferPool pool(&fm_, 4, metrics_, EvictionPolicy::kLru, StealPolicy::kSteal);
+  BufferPool pool(&fm_, 4, metrics_, {.eviction = EvictionPolicy::kLru});
   {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage(PageId{1, 0}));
     PageLatchGuard latch(h);

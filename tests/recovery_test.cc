@@ -54,15 +54,24 @@ TableObject* ObjectOf(Cluster* cluster, int i, TableId table = 0) {
   return nullptr;
 }
 
-// Visible logical contents of worker `i`'s object of `table` (its only
-// object by default), sorted by tuple id.
+// Orders rows by (tuple id, insertion time): visible rows by tuple id,
+// and every version of a tuple oldest first.
+bool ByTupleVersion(const Tuple& a, const Tuple& b) {
+  return std::make_pair(a.tuple_id(), a.insertion_ts()) <
+         std::make_pair(b.tuple_id(), b.insertion_ts());
+}
+
+// Logical contents of worker `i`'s object of `table` (its only object by
+// default) as a `mode` scan presents them — visible rows by default, every
+// version with its timestamps under kSeeDeleted — sorted by ByTupleVersion.
 std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of,
-                            TableId table = 0) {
+                            TableId table = 0,
+                            ScanMode mode = ScanMode::kVisible) {
   Worker* w = cluster->worker(i);
   TableObject* obj = ObjectOf(cluster, i, table);
   ScanSpec spec;
   spec.object_id = obj->object_id;
-  spec.mode = ScanMode::kVisible;
+  spec.mode = mode;
   spec.as_of = as_of;
   SeqScanOperator scan(w->store(), obj, spec);
   auto rows = scan.Collect();
@@ -71,9 +80,7 @@ std::vector<Tuple> Contents(Cluster* cluster, int i, Timestamp as_of,
   HARBOR_CHECK_OK(mapping.status());
   std::vector<Tuple> out;
   for (const Tuple& t : *rows) out.push_back(t.RemapColumns(*mapping));
-  std::sort(out.begin(), out.end(), [](const Tuple& a, const Tuple& b) {
-    return a.tuple_id() < b.tuple_id();
-  });
+  std::sort(out.begin(), out.end(), ByTupleVersion);
   return out;
 }
 
@@ -335,6 +342,92 @@ TEST(HarborRecoveryTest, PartitionedBuddiesCoverFullReplica) {
   std::vector<Tuple> recovered =
       Contents(cluster.get(), 0, cluster->authority()->StableTime());
   EXPECT_EQ(recovered.size(), 24u);
+}
+
+// Recovering the full replica from two partitioned buddies with a
+// checkpoint, post-checkpoint deletions and updates of checkpointed rows
+// (some flushed before the crash, so Phase 1 undoes them, some committed
+// while the site was down) and a delta of several chunks per piece: every
+// version the halves hold, deletion times included, lands exactly once.
+TEST(HarborRecoveryTest, PartitionedBuddiesRecoverCheckpointDeletionsAndDelta) {
+  ClusterOptions opt;
+  opt.num_workers = 3;
+  opt.sim = SimConfig::Zero();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Cluster> cluster,
+                       Cluster::Create(opt));
+  TableSpec spec;
+  spec.name = "emp";
+  spec.schema = SmallSchema();
+  ReplicaSpec full;
+  full.worker_index = 0;
+  ReplicaSpec lo;
+  lo.worker_index = 1;
+  lo.partition = PartitionRange::On("id", 0, 100);
+  ReplicaSpec hi;
+  hi.worker_index = 2;
+  hi.partition = PartitionRange::On("id", 100, 200);
+  spec.replicas = {full, lo, hi};
+  ASSERT_OK_AND_ASSIGN(TableId table, cluster->CreateTable(spec));
+  Coordinator* coord = cluster->coordinator();
+  auto id_is = [](int64_t id) {
+    Predicate p;
+    p.And("id", CompareOp::kEq, Value(id));
+    return p;
+  };
+
+  for (int64_t id = 0; id < 200; id += 5) {
+    ASSERT_OK(coord->InsertTxn(table, SmallRow(id, id, "base")));
+  }
+  cluster->AdvanceEpoch();
+  ASSERT_OK(cluster->CheckpointAll());
+
+  // Changes to checkpointed rows that reach the full copy's disk.
+  for (int64_t id : {10, 110}) ASSERT_OK(coord->DeleteTxn(table, id_is(id)));
+  for (int64_t id : {20, 120}) {
+    ASSERT_OK(coord->UpdateTxn(table, id_is(id),
+                               {SetClause{"qty", Value(int64_t{-1})}}));
+  }
+  ASSERT_OK(cluster->worker(0)->pool()->FlushAll());
+  cluster->AdvanceEpoch();
+  cluster->CrashWorker(0);
+
+  // Changes while the full copy is down, and a delta of 40 rows per half.
+  for (int64_t id : {30, 130}) ASSERT_OK(coord->DeleteTxn(table, id_is(id)));
+  for (int64_t id : {40, 140}) {
+    ASSERT_OK(coord->UpdateTxn(table, id_is(id),
+                               {SetClause{"qty", Value(int64_t{-2})}}));
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_OK(coord->InsertTxn(table, SmallRow(2 * i + 1, i, "delta")));
+    ASSERT_OK(coord->InsertTxn(table, SmallRow(101 + 2 * i, i, "delta")));
+  }
+  ASSERT_OK(coord->DeleteTxn(table, id_is(101)));
+  cluster->AdvanceEpoch();
+
+  RecoveryOptions ropt;
+  ropt.stream_chunk_tuples = 8;
+  ASSERT_OK_AND_ASSIGN(RecoveryStats stats, cluster->RecoverWorker(0, ropt));
+  ASSERT_EQ(stats.objects.size(), 1u);
+  const ObjectRecoveryStats& obj = stats.objects[0];
+  // 80 delta rows plus the new versions of the four updates.
+  EXPECT_EQ(obj.phase2_tuples_copied + obj.phase3_tuples_copied, 84u);
+  // Two deletions and two updated-away versions, before and after the crash.
+  EXPECT_EQ(obj.phase2_deletions_copied + obj.phase3_deletions_copied, 8u);
+  cluster->AdvanceEpoch();
+
+  const Timestamp now = cluster->authority()->StableTime();
+  auto versions = [&](int i) {
+    return Contents(cluster.get(), i, now, /*table=*/0, ScanMode::kSeeDeleted);
+  };
+  std::vector<Tuple> halves = versions(1);
+  for (const Tuple& t : versions(2)) halves.push_back(t);
+  std::sort(halves.begin(), halves.end(), ByTupleVersion);
+  std::vector<Tuple> recovered = versions(0);
+  ASSERT_EQ(recovered.size(), halves.size());
+  for (size_t j = 0; j < halves.size(); ++j) {
+    EXPECT_EQ(recovered[j], halves[j]) << "version " << j;
+  }
+  EXPECT_EQ(Contents(cluster.get(), 0, now).size(), 40u - 4u + 80u - 1u);
 }
 
 TEST(HarborRecoveryTest, BuddyCrashDuringRecoveryFailsOverToOtherBuddy) {
@@ -714,34 +807,6 @@ TEST(RecoveryStreamTest, NextChunkIsRequestedBeforeApplyReturns) {
   EXPECT_TRUE(prefetched) << "chunk 2 was requested only after chunk 1 applied";
   EXPECT_EQ(applied, 2);
   EXPECT_EQ(requests, 2);
-}
-
-TEST(RecoveryStreamTest, MonolithicPathStillSupported) {
-  auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
-  obs::Observer& observer = cluster->observer();
-  test::TraceDumpOnFailure dump_on_failure(observer);
-  ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
-  Coordinator* coord = cluster->coordinator();
-
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(coord->InsertTxn(table, SmallRow(i, i, "base")));
-  }
-  cluster->AdvanceEpoch();
-  ASSERT_OK(cluster->CheckpointAll());
-  for (int i = 20; i < 60; ++i) {
-    ASSERT_OK(coord->InsertTxn(table, SmallRow(i, i, "delta")));
-  }
-  cluster->AdvanceEpoch();
-
-  cluster->CrashWorker(1);
-  RecoveryOptions opt;
-  opt.stream_chunk_tuples = 0;  // one blocking Call per scan
-  ASSERT_OK(cluster->RecoverWorker(1, opt).status());
-
-  cluster->AdvanceEpoch();
-  ExpectReplicasEqual(cluster.get(), cluster->authority()->StableTime());
-  const obs::Metrics& m = observer.MetricsFor(Cluster::WorkerSite(1));
-  EXPECT_EQ(m.counter(obs::CounterId::kRecoveryChunks).value(), 0);
 }
 
 TEST(RecoveryStreamTest, ResumesFromDurableWatermarkAfterMidStreamFailure) {
