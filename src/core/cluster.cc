@@ -52,20 +52,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
   cluster->network_->SubscribeCrash(
       [raw](SiteId site) { raw->authority_.ReleaseSite(site); });
 
-  CoordinatorOptions copt;
-  copt.site_id = 0;
-  copt.dir = cluster->base_dir_ + "/coordinator";
-  ::mkdir(copt.dir.c_str(), 0755);
-  copt.sim = options.sim;
-  copt.protocol = options.protocol;
-  copt.group_commit = options.group_commit;
-  copt.continue_on_worker_failure = options.continue_on_worker_failure;
-  copt.snapshot_max_lag_epochs = options.snapshot_max_lag_epochs;
-  cluster->coordinators_.push_back(std::make_unique<Coordinator>(
-      cluster->network_.get(), &cluster->catalog_, &cluster->authority_,
-      &cluster->liveness_, cluster->observer_.MetricsFor(copt.site_id),
-      copt));
-  HARBOR_RETURN_NOT_OK(cluster->coordinators_[0]->Start());
+  HARBOR_RETURN_NOT_OK(
+      cluster->StartCoordinator(0, cluster->base_dir_ + "/coordinator")
+          .status());
 
   for (int i = 0; i < options.num_workers; ++i) {
     WorkerOptions wopt;
@@ -94,9 +83,16 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
 }
 
 Result<Coordinator*> Cluster::AddCoordinator() {
+  const SiteId site =
+      ExtraCoordinatorSite(static_cast<int>(coordinators_.size()));
+  return StartCoordinator(site,
+                          base_dir_ + "/coordinator" + std::to_string(site));
+}
+
+Result<Coordinator*> Cluster::StartCoordinator(SiteId site, std::string dir) {
   CoordinatorOptions copt;
-  copt.site_id = ExtraCoordinatorSite(static_cast<int>(coordinators_.size()));
-  copt.dir = base_dir_ + "/coordinator" + std::to_string(copt.site_id);
+  copt.site_id = site;
+  copt.dir = std::move(dir);
   ::mkdir(copt.dir.c_str(), 0755);
   copt.sim = options_.sim;
   copt.protocol = options_.protocol;
@@ -187,11 +183,9 @@ Status Cluster::BulkLoad(TableId table, const std::vector<LoadRow>& rows,
           key_idx, def->logical_schema.ColumnIndex(obj->partition.column));
     }
     for (const LoadRow& row : rows) {
-      if (key_idx != SIZE_MAX) {
-        const Value& key = row.values[key_idx];
-        const int64_t k = key.type() == ColumnType::kInt32 ? key.AsInt32()
-                                                            : key.AsInt64();
-        if (!obj->partition.Contains(k)) continue;
+      if (key_idx != SIZE_MAX &&
+          !obj->partition.Contains(row.values[key_idx].AsInteger())) {
+        continue;
       }
       Tuple t(row.values);
       t.set_tuple_id(row.tuple_id);

@@ -166,6 +166,8 @@ class Cluster {
 
  private:
   explicit Cluster(ClusterOptions options);
+  /// Creates and starts a coordinator at `site`, keeping its log in `dir`.
+  Result<Coordinator*> StartCoordinator(SiteId site, std::string dir);
 
   const ClusterOptions options_;
   std::string base_dir_;

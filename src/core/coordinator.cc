@@ -92,32 +92,31 @@ Status Coordinator::Restart() {
   }
   for (const auto& [txn, outcome] : open) {
     const auto& [committed, ts] = outcome;
-    if (committed) last_commit_.Learn(ts);
-    std::vector<SiteId> sites = liveness_->OnlineSites();
-    for (SiteId s : sites) {
-      if (s == options_.site_id) continue;
-      if (committed) {
-        CommitTsMsg msg;
-        msg.txn = txn;
-        msg.commit_ts = ts;
-        msg.stable_ts = StampStableTime();
-        (void)network_->Call(options_.site_id, s, msg.Encode());
-      } else {
-        TxnMsg msg;
-        msg.type = MsgType::kAbort;
-        msg.txn = txn;
-        msg.stable_ts = StampStableTime();
-        (void)network_->Call(options_.site_id, s, msg.Encode());
-      }
+    std::vector<SiteId> sites;
+    for (SiteId s : liveness_->OnlineSites()) {
+      if (s != options_.site_id) sites.push_back(s);
     }
+    Message decision;
+    if (committed) {
+      last_commit_.Learn(ts);
+      CommitTsMsg commit;
+      commit.txn = txn;
+      commit.commit_ts = ts;
+      commit.stable_ts = StampStableTime();
+      decision = commit.Encode();
+    } else {
+      TxnMsg abort;
+      abort.type = MsgType::kAbort;
+      abort.txn = txn;
+      abort.stable_ts = StampStableTime();
+      decision = abort.Encode();
+    }
+    Broadcast(sites, decision);
     {
       std::lock_guard<std::mutex> lock(unresolved_mu_);
       unresolved_[txn] = outcome;
     }
-    LogRecord end;
-    end.type = LogRecordType::kTxnEnd;
-    end.txn = txn;
-    log_->Append(std::move(end));
+    LogTxnEnd(txn);
   }
   return log_->FlushAll();
 }
@@ -285,6 +284,14 @@ Status Coordinator::LogDecisionForced(TxnId txn, bool commit, Timestamp ts) {
   return log_->Flush(lsn);
 }
 
+void Coordinator::LogTxnEnd(TxnId txn) {
+  if (log_ == nullptr) return;
+  LogRecord end;
+  end.type = LogRecordType::kTxnEnd;
+  end.txn = txn;
+  log_->Append(std::move(end));  // lazy write, not forced
+}
+
 Status Coordinator::AbortWithWorkers(
     const std::shared_ptr<CoordTxn>& ct,
     const std::vector<SiteId>& prepared_sites) {
@@ -294,12 +301,7 @@ Status Coordinator::AbortWithWorkers(
   abort.txn = ct->id;
   abort.stable_ts = StampStableTime();
   Broadcast(prepared_sites, abort.Encode());
-  if (log_ != nullptr) {
-    LogRecord end;
-    end.type = LogRecordType::kTxnEnd;
-    end.txn = ct->id;
-    log_->Append(std::move(end));  // lazy write, not forced
-  }
+  LogTxnEnd(ct->id);
   metrics_.counter(obs::CounterId::kTxnAborted).Add();
   metrics_.Trace("coord.decision.abort", ct->id,
                  static_cast<int64_t>(prepared_sites.size()));
@@ -315,69 +317,53 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
                  static_cast<int64_t>(options_.protocol));
   HARBOR_FAULT_POINT("coordinator.commit.begin", options_.site_id);
 
-  if (options_.protocol == CommitProtocol::kOptimized1PC) {
-    // Logless one-phase commit (§4.3.2): every integrity constraint was
-    // already verified per update operation, so no site can need to vote
-    // NO — the coordinator goes straight to COMMIT. A crashed worker
-    // recovers the committed data from replicas like any other failure.
-    const Timestamp ts = authority_->BeginCommit(options_.site_id);
-    CommitTsMsg commit;
-    commit.txn = ct->id;
-    commit.commit_ts = ts;
-    commit.stable_ts = StampStableTime();
-    metrics_.Trace("coord.1pc.commit.send", ct->id,
-                   static_cast<int64_t>(ts));
-    Broadcast(participants, commit.Encode());
-    authority_->EndCommit(ts, options_.site_id);
-    last_commit_.Learn(ts);
-    metrics_.counter(obs::CounterId::kTxnCommitted).Add();
-    ct->finished = true;
-    EraseTxn(ct->id);
-    return Status::OK();
-  }
-
-  // ---- Phase 1: PREPARE / vote collection (all other protocols) ----
-  HARBOR_FAULT_POINT("coordinator.before_prepare", options_.site_id);
-  metrics_.Trace("coord.prepare.send", ct->id,
-                 static_cast<int64_t>(participants.size()));
-  const int64_t vote_start_ns = NowNanos();
-  PrepareMsg prepare;
-  prepare.txn = ct->id;
-  prepare.coordinator = options_.site_id;
-  prepare.participants = participants;
-  std::vector<Result<Message>> votes =
-      network_->CallAll(options_.site_id, participants, prepare.Encode());
-  bool all_yes = true;
-  std::vector<SiteId> yes_sites;
-  for (size_t i = 0; i < participants.size(); ++i) {
-    const Result<Message>& r = votes[i];
-    if (!r.ok()) {
-      // No response: assume the worker aborted and voted NO (§4.3.2) —
-      // unless K-1-safe commit is enabled and the site simply died.
-      if (r.status().IsUnavailable() && options_.continue_on_worker_failure) {
+  const bool one_phase = options_.protocol == CommitProtocol::kOptimized1PC;
+  std::vector<SiteId> yes_sites;  // 1PC sends its COMMIT to every participant
+  if (!one_phase) {
+    // ---- Phase 1: PREPARE / vote collection (all but 1PC) ----
+    HARBOR_FAULT_POINT("coordinator.before_prepare", options_.site_id);
+    metrics_.Trace("coord.prepare.send", ct->id,
+                   static_cast<int64_t>(participants.size()));
+    const int64_t vote_start_ns = NowNanos();
+    PrepareMsg prepare;
+    prepare.txn = ct->id;
+    prepare.coordinator = options_.site_id;
+    prepare.participants = participants;
+    std::vector<Result<Message>> votes =
+        network_->CallAll(options_.site_id, participants, prepare.Encode());
+    bool all_yes = true;
+    for (size_t i = 0; i < participants.size(); ++i) {
+      const Result<Message>& r = votes[i];
+      if (!r.ok()) {
+        // No response: assume the worker aborted and voted NO (§4.3.2) —
+        // unless K-1-safe commit is enabled and the site simply died.
+        if (r.status().IsUnavailable() &&
+            options_.continue_on_worker_failure) {
+          continue;
+        }
+        all_yes = false;
         continue;
       }
-      all_yes = false;
-      continue;
+      auto vote = VoteReply::Decode(*r);
+      if (vote.ok() && vote->yes) {
+        yes_sites.push_back(participants[i]);
+      } else {
+        all_yes = false;
+      }
     }
-    auto vote = VoteReply::Decode(*r);
-    if (vote.ok() && vote->yes) {
-      yes_sites.push_back(participants[i]);
-    } else {
-      all_yes = false;
-    }
+    metrics_.histogram(obs::HistogramId::kVoteRoundTripNs)
+        .Record(NowNanos() - vote_start_ns);
+    metrics_.Trace("coord.votes.collected", ct->id,
+                   static_cast<int64_t>(yes_sites.size()), all_yes ? 1 : 0);
+    // Abort every participant, not just the YES voters: a site whose
+    // PREPARE was lost in transit (or failed before the handler ran) never
+    // aborted locally and still holds its execution-phase locks. kAbort is
+    // idempotent at sites that already rolled back — the unknown-txn path
+    // releases any stragglers — and Broadcast shrugs off sites that have
+    // since died.
+    if (!all_yes) return AbortWithWorkers(ct, participants);
+    HARBOR_FAULT_POINT("coordinator.after_prepare", options_.site_id);
   }
-  metrics_.histogram(obs::HistogramId::kVoteRoundTripNs)
-      .Record(NowNanos() - vote_start_ns);
-  metrics_.Trace("coord.votes.collected", ct->id,
-                 static_cast<int64_t>(yes_sites.size()), all_yes ? 1 : 0);
-  // Abort every participant, not just the YES voters: a site whose PREPARE
-  // was lost in transit (or failed before the handler ran) never aborted
-  // locally and still holds its execution-phase locks. kAbort is idempotent
-  // at sites that already rolled back — the unknown-txn path releases any
-  // stragglers — and Broadcast shrugs off sites that have since died.
-  if (!all_yes) return AbortWithWorkers(ct, participants);
-  HARBOR_FAULT_POINT("coordinator.after_prepare", options_.site_id);
 
   const Timestamp ts = authority_->BeginCommit(options_.site_id);
   // Fault points past the commit point must release the epoch hold before
@@ -393,7 +379,19 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     return st;
   };
 
-  if (!IsThreePhase(options_.protocol)) {
+  CommitTsMsg commit;
+  commit.txn = ct->id;
+  commit.commit_ts = ts;
+  if (one_phase) {
+    // Logless one-phase commit (§4.3.2): every integrity constraint was
+    // already verified per update operation, so no site can need to vote
+    // NO — the coordinator goes straight to COMMIT. A crashed worker
+    // recovers the committed data from replicas like any other failure.
+    commit.stable_ts = StampStableTime();
+    metrics_.Trace("coord.1pc.commit.send", ct->id,
+                   static_cast<int64_t>(ts));
+    Broadcast(participants, commit.Encode());
+  } else if (!IsThreePhase(options_.protocol)) {
     // ---- 2PC phase 2 ----
     Status st = LogDecisionForced(ct->id, /*commit=*/true, ts);
     if (!st.ok()) {
@@ -407,31 +405,21 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     metrics_.Trace("coord.2pc.decision_logged", ct->id,
                    static_cast<int64_t>(ts));
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.2pc.after_decision_logged"));
-    CommitTsMsg commit;
-    commit.txn = ct->id;
-    commit.commit_ts = ts;
     commit.stable_ts = StampStableTime();
     metrics_.Trace("coord.commit.send", ct->id,
                    static_cast<int64_t>(ts),
                    static_cast<int64_t>(yes_sites.size()));
     const bool all_acked = Broadcast(yes_sites, commit.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.2pc.after_commit_send"));
-    if (log_ != nullptr) {
-      LogRecord end;
-      end.type = LogRecordType::kTxnEnd;
-      end.txn = ct->id;
-      log_->Append(std::move(end));
-    }
+    LogTxnEnd(ct->id);
     if (all_acked) {
       std::lock_guard<std::mutex> lock(unresolved_mu_);
       unresolved_.erase(ct->id);  // every worker knows; nothing to resolve
     }
   } else {
     // ---- 3PC phases 2+3: PREPARE-TO-COMMIT, then COMMIT (§4.3.3) ----
-    CommitTsMsg ptc;
+    CommitTsMsg ptc = commit;
     ptc.type = MsgType::kPrepareToCommit;
-    ptc.txn = ct->id;
-    ptc.commit_ts = ts;
     ptc.stable_ts = StampStableTime();
     metrics_.Trace("coord.3pc.ptc.send", ct->id,
                    static_cast<int64_t>(ts),
@@ -439,9 +427,6 @@ Status Coordinator::RunCommitProtocol(const std::shared_ptr<CoordTxn>& ct) {
     Broadcast(yes_sites, ptc.Encode());
     HARBOR_RETURN_NOT_OK(fault_point("coordinator.3pc.after_ptc"));
     // All ACKs received: the commit point, with no forced write anywhere.
-    CommitTsMsg commit;
-    commit.txn = ct->id;
-    commit.commit_ts = ts;
     commit.stable_ts = StampStableTime();
     metrics_.Trace("coord.commit.send", ct->id,
                    static_cast<int64_t>(ts),
@@ -499,36 +484,34 @@ Status Coordinator::Abort(TxnId txn) {
   return Status::OK();
 }
 
-Status Coordinator::InsertTxn(TableId table, std::vector<Value> values,
-                              int64_t cpu_work_cycles) {
+Status Coordinator::Autocommit(const std::function<Status(TxnId)>& update) {
   HARBOR_ASSIGN_OR_RETURN(TxnId txn, Begin());
-  Status st = Insert(txn, table, std::move(values), cpu_work_cycles);
+  Status st = update(txn);
   if (!st.ok()) {
     (void)Abort(txn);
     return st;
   }
   return Commit(txn);
+}
+
+Status Coordinator::InsertTxn(TableId table, std::vector<Value> values,
+                              int64_t cpu_work_cycles) {
+  return Autocommit([&](TxnId txn) {
+    return Insert(txn, table, std::move(values), cpu_work_cycles);
+  });
 }
 
 Status Coordinator::UpdateTxn(TableId table, Predicate predicate,
                               std::vector<SetClause> sets) {
-  HARBOR_ASSIGN_OR_RETURN(TxnId txn, Begin());
-  Status st = Update(txn, table, std::move(predicate), std::move(sets));
-  if (!st.ok()) {
-    (void)Abort(txn);
-    return st;
-  }
-  return Commit(txn);
+  return Autocommit([&](TxnId txn) {
+    return Update(txn, table, std::move(predicate), std::move(sets));
+  });
 }
 
 Status Coordinator::DeleteTxn(TableId table, Predicate predicate) {
-  HARBOR_ASSIGN_OR_RETURN(TxnId txn, Begin());
-  Status st = Delete(txn, table, std::move(predicate));
-  if (!st.ok()) {
-    (void)Abort(txn);
-    return st;
-  }
-  return Commit(txn);
+  return Autocommit([&](TxnId txn) {
+    return Delete(txn, table, std::move(predicate));
+  });
 }
 
 // ------------------------------------------------------------------ reads
@@ -566,42 +549,45 @@ Timestamp Coordinator::SnapshotTime() {
   return std::max(st, mark);
 }
 
+Status Coordinator::ScanCover(const TableDef& def, ScanMsg scan,
+                              std::vector<Tuple>* out,
+                              std::vector<SiteId>* touched) {
+  HARBOR_ASSIGN_OR_RETURN(
+      std::vector<RecoveryObject> plan,
+      catalog_->PlanCover(def.id, PartitionRange::Full(), kInvalidSiteId,
+                          [this](SiteId s) { return liveness_->IsOnline(s); }));
+  for (const RecoveryObject& piece : plan) {
+    scan.spec.object_id = piece.object_id;
+    scan.spec.range = piece.predicate;
+    if (touched != nullptr) touched->push_back(piece.site);
+    HARBOR_ASSIGN_OR_RETURN(
+        Message reply,
+        network_->Call(options_.site_id, piece.site, scan.Encode()));
+    HARBOR_ASSIGN_OR_RETURN(ScanReplyMsg decoded, ScanReplyMsg::Decode(reply));
+    HARBOR_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
+                            def.logical_schema.MappingFrom(decoded.schema));
+    for (const Tuple& t : decoded.tuples) {
+      out->push_back(t.RemapColumns(mapping));
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::vector<Tuple>> Coordinator::SnapshotQueryAt(
     TableId table, const Predicate& predicate, Timestamp as_of) {
   HARBOR_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(table));
+  ScanMsg scan;
+  scan.spec.mode = ScanMode::kVisible;
+  scan.spec.as_of = as_of;
+  scan.spec.predicate = predicate;
+  scan.snapshot_read = true;
   Status failure = Status::OK();
   // Two planning attempts: a site that crashes or starts recovering between
   // planning and serving answers Unavailable, and the second plan routes
   // around it. Snapshot reads never wait for recovery to finish.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    HARBOR_ASSIGN_OR_RETURN(
-        std::vector<RecoveryObject> plan,
-        catalog_->PlanCover(
-            table, PartitionRange::Full(), kInvalidSiteId,
-            [this](SiteId s) { return liveness_->IsOnline(s); }));
     std::vector<Tuple> out;
-    failure = Status::OK();
-    for (const RecoveryObject& piece : plan) {
-      ScanMsg scan;
-      scan.spec.object_id = piece.object_id;
-      scan.spec.mode = ScanMode::kVisible;
-      scan.spec.as_of = as_of;
-      scan.spec.range = piece.predicate;
-      scan.spec.predicate = predicate;
-      scan.snapshot_read = true;
-      auto reply = network_->Call(options_.site_id, piece.site, scan.Encode());
-      if (!reply.ok()) {
-        failure = reply.status();
-        break;
-      }
-      HARBOR_ASSIGN_OR_RETURN(ScanReplyMsg decoded,
-                              ScanReplyMsg::Decode(*reply));
-      HARBOR_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                              def->logical_schema.MappingFrom(decoded.schema));
-      for (const Tuple& t : decoded.tuples) {
-        out.push_back(t.RemapColumns(mapping));
-      }
-    }
+    failure = ScanCover(*def, scan, &out);
     if (failure.ok()) return out;
     if (!failure.IsUnavailable()) break;
   }
@@ -624,44 +610,17 @@ Result<std::vector<Tuple>> Coordinator::Query(TableId table,
   if (mode == ReadMode::kSnapshot) {
     return SnapshotQueryAt(table, predicate, SnapshotTime());
   }
-  HARBOR_ASSIGN_OR_RETURN(TxnId txn, Begin());
   HARBOR_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(table));
-  HARBOR_ASSIGN_OR_RETURN(
-      std::vector<RecoveryObject> plan,
-      catalog_->PlanCover(table, PartitionRange::Full(), kInvalidSiteId,
-                          [this](SiteId s) { return liveness_->IsOnline(s); }));
+  HARBOR_ASSIGN_OR_RETURN(TxnId txn, Begin());
+  ScanMsg scan;
+  scan.spec.mode = ScanMode::kVisible;
+  scan.spec.as_of = authority_->Now();
+  scan.spec.predicate = predicate;
+  scan.owner = txn;
+  scan.with_page_locks = true;  // up-to-date reads lock (§3.1)
   std::vector<Tuple> out;
   std::vector<SiteId> touched;
-  Status failure = Status::OK();
-  for (const RecoveryObject& piece : plan) {
-    ScanMsg scan;
-    scan.spec.object_id = piece.object_id;
-    scan.spec.mode = ScanMode::kVisible;
-    scan.spec.as_of = authority_->Now();
-    scan.spec.range = piece.predicate;
-    scan.spec.predicate = predicate;
-    scan.owner = txn;
-    scan.with_page_locks = true;  // up-to-date reads lock (§3.1)
-    touched.push_back(piece.site);
-    auto reply = network_->Call(options_.site_id, piece.site, scan.Encode());
-    if (!reply.ok()) {
-      failure = reply.status();
-      break;
-    }
-    auto decoded = ScanReplyMsg::Decode(*reply);
-    if (!decoded.ok()) {
-      failure = decoded.status();
-      break;
-    }
-    auto mapping = def->logical_schema.MappingFrom(decoded->schema);
-    if (!mapping.ok()) {
-      failure = mapping.status();
-      break;
-    }
-    for (const Tuple& t : decoded->tuples) {
-      out.push_back(t.RemapColumns(*mapping));
-    }
-  }
+  const Status failure = ScanCover(*def, scan, &out, &touched);
   // Release the read transaction's locks at every touched site (§4.3: "for
   // read transactions, the coordinator merely needs to notify the workers
   // to release any system resources and locks").

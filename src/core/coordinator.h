@@ -2,6 +2,7 @@
 #define HARBOR_CORE_COORDINATOR_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -139,6 +140,9 @@ class Coordinator {
   Result<Message> HandleResolveTxn(const TxnMsg& m);
 
   Status Distribute(TxnId txn, UpdateRequest request);
+  /// Runs `update` in a fresh transaction, then commits it; aborts it if
+  /// `update` fails.
+  Status Autocommit(const std::function<Status(TxnId)>& update);
   Result<std::shared_ptr<CoordTxn>> GetTxn(TxnId txn);
   void EraseTxn(TxnId txn);
 
@@ -150,6 +154,12 @@ class Coordinator {
   Status AbortWithWorkers(const std::shared_ptr<CoordTxn>& ct,
                           const std::vector<SiteId>& prepared_sites);
 
+  /// Plans an online cover of `def` and sends `scan` to each piece in turn,
+  /// one Call per piece in plan order, appending the replies in the logical
+  /// schema to `out`. Records each site it sends to in `touched` if given.
+  /// Stops at the first failure.
+  Status ScanCover(const TableDef& def, ScanMsg scan, std::vector<Tuple>* out,
+                   std::vector<SiteId>* touched = nullptr);
   /// Lock-free snapshot scan of `table` at stable time `as_of` across an
   /// online cover; re-plans once if a site fails mid-query.
   Result<std::vector<Tuple>> SnapshotQueryAt(TableId table,
@@ -160,6 +170,8 @@ class Coordinator {
   Timestamp StampStableTime();
 
   Status LogDecisionForced(TxnId txn, bool commit, Timestamp ts);
+  /// Appends `txn`'s END record, lazily (no force); a no-op without a log.
+  void LogTxnEnd(TxnId txn);
 
   Network* const network_;
   GlobalCatalog* const catalog_;

@@ -11,12 +11,6 @@ namespace harbor {
 
 namespace {
 
-/// A partition key; partition columns are integers (GlobalCatalog::
-/// AddReplica).
-int64_t IntOf(const Value& v) {
-  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
-}
-
 /// Handlers a worker endpoint runs at once ("each worker runs a
 /// multi-threaded server", §6.1.6).
 constexpr int kServerThreads = 8;
@@ -195,67 +189,64 @@ Status Worker::WriteCheckpoint() {
   for (TableObject* obj : rt->catalog.objects()) {
     HARBOR_RETURN_NOT_OK(obj->file->SyncHeaderIfDirty());
   }
-  std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
-  HARBOR_ASSIGN_OR_RETURN(CheckpointRecord rec,
-                          ReadCheckpointRecord(options_.dir));
-  if (t <= rec.global_time && rec.per_object.empty()) {
-    return Status::OK();  // nothing newer to claim
-  }
-  rec.global_time = std::max(rec.global_time, t);
-  HARBOR_RETURN_NOT_OK(WriteCheckpointRecord(options_.dir, rec));
-  rt->data_disk.ChargeForcedWrite(64);
-  return Status::OK();
+  return RewriteCheckpointRecord([&](CheckpointRecord& rec) {
+    if (t <= rec.global_time && rec.per_object.empty()) {
+      return false;  // nothing newer to claim
+    }
+    rec.global_time = std::max(rec.global_time, t);
+    return true;
+  });
 }
 
 Result<CheckpointRecord> Worker::LastCheckpoint() const {
   return ReadCheckpointRecord(options_.dir);
 }
 
-Status Worker::WriteObjectCheckpoint(ObjectId object, Timestamp t) {
+Status Worker::RewriteCheckpointRecord(
+    const std::function<bool(CheckpointRecord&)>& edit) {
   std::shared_ptr<Runtime> rt = Pin();
   if (rt == nullptr) return Status::Unavailable("worker down");
   std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
   HARBOR_ASSIGN_OR_RETURN(CheckpointRecord rec,
                           ReadCheckpointRecord(options_.dir));
-  rec.per_object[object] = t;
-  rec.resume.erase(object);
+  if (!edit(rec)) return Status::OK();
   HARBOR_RETURN_NOT_OK(WriteCheckpointRecord(options_.dir, rec));
   rt->data_disk.ChargeForcedWrite(64);
   return Status::OK();
+}
+
+Status Worker::WriteObjectCheckpoint(ObjectId object, Timestamp t) {
+  return RewriteCheckpointRecord([&](CheckpointRecord& rec) {
+    rec.per_object[object] = t;
+    rec.resume.erase(object);
+    return true;
+  });
 }
 
 Status Worker::WriteObjectResume(ObjectId object, const StreamResume& resume) {
-  std::shared_ptr<Runtime> rt = Pin();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
-  HARBOR_ASSIGN_OR_RETURN(CheckpointRecord rec,
-                          ReadCheckpointRecord(options_.dir));
-  // Upsert by stream index: parallel catch-up streams advance their
-  // watermarks independently within one object's entry.
-  std::vector<StreamResume>& streams = rec.resume[object];
-  auto it = std::find_if(streams.begin(), streams.end(),
-                         [&](const StreamResume& r) {
-                           return r.stream_index == resume.stream_index;
-                         });
-  if (it == streams.end()) {
-    streams.push_back(resume);
-  } else {
-    *it = resume;
-  }
-  HARBOR_RETURN_NOT_OK(WriteCheckpointRecord(options_.dir, rec));
-  rt->data_disk.ChargeForcedWrite(64);
-  return Status::OK();
+  return RewriteCheckpointRecord([&](CheckpointRecord& rec) {
+    // Upsert by stream index: parallel catch-up streams advance their
+    // watermarks independently within one object's entry.
+    std::vector<StreamResume>& streams = rec.resume[object];
+    auto it = std::find_if(streams.begin(), streams.end(),
+                           [&](const StreamResume& r) {
+                             return r.stream_index == resume.stream_index;
+                           });
+    if (it == streams.end()) {
+      streams.push_back(resume);
+    } else {
+      *it = resume;
+    }
+    return true;
+  });
 }
 
 Status Worker::PromoteGlobalCheckpoint(Timestamp t) {
-  std::shared_ptr<Runtime> rt = Pin();
-  if (rt == nullptr) return Status::Unavailable("worker down");
-  std::lock_guard<std::mutex> file_lock(checkpoint_file_mu_);
-  CheckpointRecord rec;
-  rec.global_time = t;
-  HARBOR_RETURN_NOT_OK(WriteCheckpointRecord(options_.dir, rec));
-  rt->data_disk.ChargeForcedWrite(64);
-  return Status::OK();
+  return RewriteCheckpointRecord([&](CheckpointRecord& rec) {
+    rec = CheckpointRecord{};
+    rec.global_time = t;
+    return true;
+  });
 }
 
 void Worker::CheckpointTick() {
@@ -341,7 +332,7 @@ Result<Message> Worker::HandleExecUpdate(Runtime& rt, const ExecUpdateMsg& m) {
           HARBOR_ASSIGN_OR_RETURN(
               size_t key_idx,
               table->logical_schema.ColumnIndex(obj->partition.column));
-          if (!obj->partition.Contains(IntOf(m.request.values[key_idx]))) {
+          if (!obj->partition.Contains(m.request.values[key_idx].AsInteger())) {
             continue;  // tuple belongs to a partition hosted elsewhere
           }
         }
@@ -389,37 +380,20 @@ Result<Message> Worker::HandlePrepare(Runtime& rt, const PrepareMsg& m) {
     return VoteReply{false}.Encode();
   }
   if (fail_next_prepare_.exchange(false)) {
-    // Consistency constraint violation: vote NO, roll back, release locks
+    // Consistency constraint violation: vote NO and abort locally
     // (Figure 4-2's abort path at the worker).
-    txn->phase = TxnPhase::kAborted;
     txn->voted_yes = false;
-    if (rt.log != nullptr) {
-      LogRecord rec;
-      rec.type = LogRecordType::kTxnAbort;
-      rec.txn = txn->id;
-      rec.prev_lsn = txn->last_lsn;
-      txn->last_lsn = rt.log->Append(std::move(rec));
-      HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
-    }
-    HARBOR_RETURN_NOT_OK(rt.store->RollbackTransaction(txn.get()));
-    rt.locks.ReleaseAll(txn->id);
-    rt.txns.Erase(txn->id);
+    HARBOR_RETURN_NOT_OK(AbortLocally(rt, txn.get()));
     metrics_.Trace("worker.vote.no", m.txn);
     return VoteReply{false}.Encode();
   }
   txn->phase = TxnPhase::kPrepared;
   txn->voted_yes = true;
   metrics_.Trace("worker.vote.yes", txn->id);
-  if (rt.log != nullptr) {
-    // Traditional 2PC / canonical 3PC: the PREPARE record is force-written
-    // before the YES vote leaves the site (§4.3.1).
-    LogRecord rec;
-    rec.type = LogRecordType::kTxnPrepare;
-    rec.txn = txn->id;
-    rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt.log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
-  }
+  // Traditional 2PC / canonical 3PC: the PREPARE record is force-written
+  // before the YES vote leaves the site (§4.3.1).
+  HARBOR_RETURN_NOT_OK(
+      ForceTxnRecord(rt, txn.get(), LogRecordType::kTxnPrepare));
   return VoteReply{true}.Encode();
 }
 
@@ -435,30 +409,31 @@ Result<Message> Worker::HandlePrepareToCommit(Runtime& rt,
   txn->pending_commit_ts = m.commit_ts;
   metrics_.Trace("worker.prepared_to_commit", m.txn,
                  static_cast<int64_t>(m.commit_ts));
-  if (rt.log != nullptr && IsThreePhase(options_.protocol)) {
+  if (IsThreePhase(options_.protocol)) {
     // Canonical 3PC's middle forced write.
-    LogRecord rec;
-    rec.type = LogRecordType::kTxnPrepareToCommit;
-    rec.txn = txn->id;
-    rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt.log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
+    HARBOR_RETURN_NOT_OK(
+        ForceTxnRecord(rt, txn.get(), LogRecordType::kTxnPrepareToCommit));
   }
   return AckMessage();
+}
+
+Status Worker::ForceTxnRecord(Runtime& rt, TxnState* txn, LogRecordType type,
+                              Timestamp commit_ts) {
+  if (rt.log == nullptr) return Status::OK();
+  LogRecord rec;
+  rec.type = type;
+  rec.txn = txn->id;
+  rec.prev_lsn = txn->last_lsn;
+  rec.commit_ts = commit_ts;
+  txn->last_lsn = rt.log->Append(std::move(rec));
+  return rt.log->Flush(txn->last_lsn);
 }
 
 Status Worker::CommitLocally(Runtime& rt, TxnState* txn, Timestamp commit_ts) {
   HARBOR_RETURN_NOT_OK(rt.store->StampCommit(txn, commit_ts));
   txn->phase = TxnPhase::kCommitted;
-  if (rt.log != nullptr) {
-    LogRecord rec;
-    rec.type = LogRecordType::kTxnCommit;
-    rec.txn = txn->id;
-    rec.prev_lsn = txn->last_lsn;
-    rec.commit_ts = commit_ts;
-    txn->last_lsn = rt.log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
-  }
+  HARBOR_RETURN_NOT_OK(
+      ForceTxnRecord(rt, txn, LogRecordType::kTxnCommit, commit_ts));
   rt.locks.ReleaseAll(txn->id);
   rt.txns.Erase(txn->id);
   metrics_.counter(obs::CounterId::kTxnCommitted).Add();
@@ -470,14 +445,7 @@ Status Worker::CommitLocally(Runtime& rt, TxnState* txn, Timestamp commit_ts) {
 Status Worker::AbortLocally(Runtime& rt, TxnState* txn) {
   txn->phase = TxnPhase::kAborted;
   HARBOR_RETURN_NOT_OK(rt.store->RollbackTransaction(txn));
-  if (rt.log != nullptr) {
-    LogRecord rec;
-    rec.type = LogRecordType::kTxnAbort;
-    rec.txn = txn->id;
-    rec.prev_lsn = txn->last_lsn;
-    txn->last_lsn = rt.log->Append(std::move(rec));
-    HARBOR_RETURN_NOT_OK(rt.log->Flush(txn->last_lsn));
-  }
+  HARBOR_RETURN_NOT_OK(ForceTxnRecord(rt, txn, LogRecordType::kTxnAbort));
   rt.locks.ReleaseAll(txn->id);
   rt.txns.Erase(txn->id);
   metrics_.Trace("worker.aborted", txn->id);
@@ -785,12 +753,15 @@ void Worker::RunConsensus(Runtime& rt, TxnId txn_id,
   // is safe.
   bool must_commit = self_phase == TxnPhase::kPreparedToCommit ||
                      self_phase == TxnPhase::kCommitted;
+  std::vector<SiteId> others;  // every round goes to the live peers at once
   for (SiteId p : alive) {
-    if (p == options_.site_id) continue;
-    TxnMsg probe;
-    probe.type = MsgType::kTxnStateProbe;
-    probe.txn = txn_id;
-    auto reply = network_->Call(options_.site_id, p, probe.Encode());
+    if (p != options_.site_id) others.push_back(p);
+  }
+  TxnMsg probe;
+  probe.type = MsgType::kTxnStateProbe;
+  probe.txn = txn_id;
+  for (const Result<Message>& reply :
+       network_->CallAll(options_.site_id, others, probe.Encode())) {
     if (!reply.ok()) continue;  // newly failed site: fail-stop, skip
     auto decoded = ProbeReply::Decode(*reply);
     if (!decoded.ok() || !decoded->known) continue;
@@ -804,47 +775,35 @@ void Worker::RunConsensus(Runtime& rt, TxnId txn_id,
 
   metrics_.Trace("worker.consensus.decision", txn_id,
                  must_commit ? 1 : 0, static_cast<int64_t>(alive.size()));
+  Message outcome;
   if (must_commit) {
-    for (SiteId p : alive) {
-      if (p == options_.site_id) continue;
-      CommitTsMsg ptc;
-      ptc.type = MsgType::kPrepareToCommit;
-      ptc.txn = txn_id;
-      ptc.commit_ts = ts;
-      (void)network_->Call(options_.site_id, p, ptc.Encode());
-    }
-    for (SiteId p : alive) {
-      if (p == options_.site_id) continue;
-      CommitTsMsg commit;
-      commit.type = MsgType::kCommit;
-      commit.txn = txn_id;
-      commit.commit_ts = ts;
-      (void)network_->Call(options_.site_id, p, commit.Encode());
-    }
-    auto self = rt.txns.Get(txn_id);
-    if (self.ok()) {
-      std::lock_guard<std::mutex> guard((*self)->mu);
-      if ((*self)->phase != TxnPhase::kCommitted) {
-        (void)CommitLocally(rt, self->get(), ts);
-      }
-    }
-    // Release the dead coordinator's epoch hold (no-op if ReleaseSite beat
-    // us to it on the crash notification).
-    authority_->EndCommit(ts, dead_coordinator);
+    // Every PREPARE-TO-COMMIT reply is in before the first COMMIT leaves.
+    CommitTsMsg commit;
+    commit.type = MsgType::kPrepareToCommit;
+    commit.txn = txn_id;
+    commit.commit_ts = ts;
+    (void)network_->CallAll(options_.site_id, others, commit.Encode());
+    commit.type = MsgType::kCommit;
+    outcome = commit.Encode();
   } else {
-    for (SiteId p : alive) {
-      if (p == options_.site_id) continue;
-      TxnMsg abort;
-      abort.type = MsgType::kAbort;
-      abort.txn = txn_id;
-      (void)network_->Call(options_.site_id, p, abort.Encode());
-    }
-    auto self = rt.txns.Get(txn_id);
-    if (self.ok()) {
-      std::lock_guard<std::mutex> guard((*self)->mu);
+    TxnMsg abort;
+    abort.type = MsgType::kAbort;
+    abort.txn = txn_id;
+    outcome = abort.Encode();
+  }
+  (void)network_->CallAll(options_.site_id, others, outcome);
+  auto self = rt.txns.Get(txn_id);
+  if (self.ok()) {
+    std::lock_guard<std::mutex> guard((*self)->mu);
+    if (!must_commit) {
       (void)AbortLocally(rt, self->get());
+    } else if ((*self)->phase != TxnPhase::kCommitted) {
+      (void)CommitLocally(rt, self->get(), ts);
     }
   }
+  // Release the dead coordinator's epoch hold (no-op if ReleaseSite beat us
+  // to it on the crash notification).
+  if (must_commit) authority_->EndCommit(ts, dead_coordinator);
 }
 
 }  // namespace harbor

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -165,6 +166,11 @@ class Worker {
   Result<Message> HandleTableLock(Runtime& rt, const TableLockMsg& m);
   Result<Message> HandleProbe(Runtime& rt, const TxnMsg& m);
 
+  /// Appends a `type` record to `txn`'s log chain and forces it; a no-op
+  /// under the logless protocols. The one place a worker forces a
+  /// transaction-state record.
+  Status ForceTxnRecord(Runtime& rt, TxnState* txn, LogRecordType type,
+                        Timestamp commit_ts = 0);
   Status AbortLocally(Runtime& rt, TxnState* txn);
   Status CommitLocally(Runtime& rt, TxnState* txn, Timestamp commit_ts);
 
@@ -177,6 +183,11 @@ class Worker {
   void RunConsensus(Runtime& rt, TxnId txn_id, SiteId dead_coordinator);
 
   void CheckpointTick();
+  /// Reads the checkpoint record, lets `edit` change it and force-writes
+  /// the result; Unavailable while the worker is down. An `edit` that
+  /// returns false leaves the file as it is and charges no write.
+  Status RewriteCheckpointRecord(
+      const std::function<bool(CheckpointRecord&)>& edit);
 
   Network* const network_;
   GlobalCatalog* const catalog_;

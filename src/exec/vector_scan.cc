@@ -21,10 +21,6 @@ T Load(const uint8_t* p) {
 constexpr int64_t kMinI64 = std::numeric_limits<int64_t>::min();
 constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
 
-int64_t IntOf(const Value& v) {
-  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
-}
-
 /// Largest x in [tmin, tmax] with (double)x < d when `strict`, else with
 /// !(d < (double)x) — CompareNumeric's kLt and kLe. Both keep a prefix of
 /// the integers because (double)x is monotone in x. False when none does.
@@ -192,8 +188,8 @@ size_t FilterEncoded(const CompiledConjunct& c, const EncodedColumn& col,
 bool ZonePrunes(const CompiledConjunct& c, const EncodedColumn& col) {
   if (!col.has_zone) return false;
   if (c.kind == CompiledConjunct::Kind::kInt) {
-    const int64_t zmin = IntOf(col.zone_min);
-    const int64_t zmax = IntOf(col.zone_max);
+    const int64_t zmin = col.zone_min.AsInteger();
+    const int64_t zmax = col.zone_max.AsInteger();
     if (c.negate) return c.lo <= zmin && zmax <= c.hi;
     return zmax < c.lo || c.hi < zmin;
   }
@@ -219,7 +215,7 @@ bool ZonePrunes(const CompiledConjunct& c, const EncodedColumn& col) {
 
 bool CompiledConjunct::Matches(const Value& v) const {
   switch (kind) {
-    case Kind::kInt: return InInterval(*this, IntOf(v));
+    case Kind::kInt: return InInterval(*this, v.AsInteger());
     case Kind::kDouble: return CompareNumeric(v.AsDouble(), op, num);
     case Kind::kChar: return Holds(op, v.AsString().compare(rhs.AsString()));
   }

@@ -306,9 +306,13 @@ Status FaultInjector::OnPoint(const char* point, SiteId site, CrashMode mode) {
     observer_->Trace(site, "fault.point", 0, 0, 0, std::move(description));
   }
   switch (spec.action) {
-    case FaultAction::kDelay:
+    case FaultAction::kDelay: {
+      // A delayed pool task must not hold its worker: the scheduler spawns a
+      // spare while the delay sleeps.
+      runtime::ScopedBlocking block;
       std::this_thread::sleep_for(std::chrono::milliseconds(spec.delay_ms));
       return Status::OK();
+    }
     case FaultAction::kError:
       return Status::Internal("fault-injected error at " + std::string(point));
     case FaultAction::kCrash: {

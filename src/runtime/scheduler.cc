@@ -4,6 +4,8 @@
 #include <chrono>
 #include <climits>
 
+#include "common/clock.h"
+
 namespace harbor::runtime {
 
 namespace {
@@ -15,15 +17,10 @@ thread_local Scheduler* t_scheduler = nullptr;
 thread_local bool t_blocking = false;
 thread_local TimerId t_firing_timer = 0;
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::chrono::steady_clock::time_point TimePointOf(int64_t ns) {
-  return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
-}
+/// Upper bound on spare workers alive at once. The bound is soft at the
+/// floor: one spare is always granted when every worker is blocked and work
+/// is queued, so annotated dependency waits cannot deadlock.
+constexpr int kMaxSpares = 1024;
 
 }  // namespace
 
@@ -32,7 +29,6 @@ Scheduler::Scheduler(Options options)
                         ? options.workers
                         : static_cast<int>(std::max(
                               8u, std::thread::hardware_concurrency()))),
-      max_spares_(std::max(1, options.max_spares)),
       seed_(options.seed),
       rng_state_(options.seed != 0 ? options.seed : 1) {
   Strand pool;
@@ -107,7 +103,7 @@ void Scheduler::EnsureCapacityLocked() {
   // The cap is soft at the floor: when every thread is blocked, queued work
   // could include the very task a blocked one waits on, so a spare is
   // always granted (dependency waits must not deadlock).
-  if (spares_alive_ >= max_spares_ && unblocked > 0) return;
+  if (spares_alive_ >= kMaxSpares && unblocked > 0) return;
   SpawnSpareLocked();
 }
 
@@ -225,7 +221,7 @@ TimerId Scheduler::ArmTimerLocked(int64_t delay_ns, int64_t period_ns,
   st.fn = std::make_shared<const Task>(std::move(task));
   st.period_ns = period_ns;
   timers_.emplace(id, std::move(st));
-  timer_heap_.push_back({NowNs() + std::max<int64_t>(0, delay_ns), id});
+  timer_heap_.push_back({NowNanos() + std::max<int64_t>(0, delay_ns), id});
   std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
   timer_cv_.notify_all();
   return id;
@@ -270,8 +266,9 @@ void Scheduler::TimerLoop() {
       continue;
     }
     const int64_t deadline = timer_heap_.front().deadline_ns;
-    if (deadline > NowNs()) {
-      timer_cv_.wait_until(lock, TimePointOf(deadline));
+    if (deadline > NowNanos()) {
+      timer_cv_.wait_until(lock, std::chrono::steady_clock::time_point(
+                                        std::chrono::nanoseconds(deadline)));
       continue;
     }
     const TimerId id = timer_heap_.front().id;
@@ -308,7 +305,7 @@ void Scheduler::RunTimerCallback(TimerId id) {
       TimerState& st = it->second;
       if (st.period_ns > 0 && !st.cancelled && !stopping_) {
         st.phase = TimerState::kArmed;  // fixed delay between firings
-        timer_heap_.push_back({NowNs() + st.period_ns, id});
+        timer_heap_.push_back({NowNanos() + st.period_ns, id});
         std::push_heap(timer_heap_.begin(), timer_heap_.end(),
                        std::greater<>());
         timer_cv_.notify_all();

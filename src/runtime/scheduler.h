@@ -50,10 +50,6 @@ class Scheduler {
   struct Options {
     /// Core worker count; 0 = max(8, hardware_concurrency).
     int workers = 0;
-    /// Upper bound on spare workers alive at once. The bound is soft at the
-    /// floor: one spare is always granted when every worker is blocked and
-    /// work is queued, so annotated dependency waits cannot deadlock.
-    int max_spares = 1024;
     /// Nonzero: workers pick among ready strands with a seeded xorshift
     /// instead of strict FIFO — a deterministic dispatch-order shuffle for
     /// chaos interleaving exploration. Per-strand FIFO is preserved either
@@ -151,7 +147,6 @@ class Scheduler {
   TimerId ArmTimerLocked(int64_t delay_ns, int64_t period_ns, Task task);
 
   const int core_workers_;
-  const int max_spares_;
   const uint64_t seed_;
 
   mutable std::mutex mu_;

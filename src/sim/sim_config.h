@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "common/random.h"
-
 namespace harbor {
 
 /// \brief Cost-model parameters for the simulated hardware substrate.
@@ -45,12 +43,6 @@ struct SimConfig {
   /// If false, Charge* calls account statistics but never sleep; useful for
   /// logic-only tests.
   bool enable_latency = true;
-
-  /// Run-level RNG seed (the HARBOR_SEED environment variable by default).
-  /// Components that need randomness derive their streams from it so a
-  /// whole run — workload, fault schedules, eviction — replays from one
-  /// number.
-  uint64_t seed = Random::GlobalSeed();
 
   /// Returns a configuration with all latencies disabled (pure logic mode).
   static SimConfig Zero() {

@@ -9,8 +9,7 @@
 namespace harbor {
 namespace {
 
-// Hybrid wait: OS sleep for the bulk, spin for the sub-scheduler-granularity
-// tail so that short charges (a few microseconds) remain accurate.
+// Sleeps until `deadline_ns` on the NowNanos() clock.
 void WaitUntilNanos(int64_t deadline_ns) {
   // Sleep, never spin: on small hosts a spinning waiter starves the threads
   // doing real work, distorting every concurrency experiment. The scheduler

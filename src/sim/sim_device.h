@@ -53,9 +53,10 @@ class SimDevice {
   std::atomic<int64_t> total_cost_ns_{0};
 };
 
-/// Blocks the calling thread for `ns` nanoseconds with sub-scheduler
-/// accuracy (OS sleep for the bulk, spin for the tail). Used for costs that
-/// do not serialize on any device, e.g. network propagation latency.
+/// Sleeps the calling thread for `ns` nanoseconds inside a blocking section
+/// (it never spins, so short sleeps may overshoot by the OS scheduler's
+/// granularity). Used for costs that do not serialize on any device, e.g.
+/// network propagation latency.
 void SimSleepNanos(int64_t ns);
 
 }  // namespace harbor

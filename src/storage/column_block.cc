@@ -109,10 +109,6 @@ Result<Value> ReadRawValue(const Column& col, ByteBufferReader* in) {
   return ReadDictEntry(col, in);
 }
 
-int64_t IntOf(const Value& v) {
-  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
-}
-
 /// Key for the dictionary map: normalized CHARs compare as strings,
 /// everything else by exact bits of its packed form.
 struct DictLess {
@@ -125,7 +121,7 @@ struct DictLess {
       std::memcpy(&bb, &db, 8);
       return ba < bb;  // bit-exact so distinct NaN payloads stay distinct
     }
-    return IntOf(a) < IntOf(b);
+    return a.AsInteger() < b.AsInteger();
   }
 };
 
@@ -165,10 +161,10 @@ void EncodeOneColumn(const Column& col, size_t col_idx,
   const bool integral =
       col.type == ColumnType::kInt32 || col.type == ColumnType::kInt64;
   if (integral && !vals.empty()) {
-    int64_t min_v = IntOf(vals[0]), max_v = IntOf(vals[0]);
+    int64_t min_v = vals[0].AsInteger(), max_v = vals[0].AsInteger();
     for (const Value& v : vals) {
-      min_v = std::min(min_v, IntOf(v));
-      max_v = std::max(max_v, IntOf(v));
+      min_v = std::min(min_v, v.AsInteger());
+      max_v = std::max(max_v, v.AsInteger());
     }
     for_base = min_v;
     for_width = FittedVector::WidthFor(static_cast<uint64_t>(max_v) -
@@ -181,7 +177,7 @@ void EncodeOneColumn(const Column& col, size_t col_idx,
     out->WriteI64(for_base);
     out->WriteU8(for_width);
     for (const Value& v : vals) {
-      const uint64_t delta = static_cast<uint64_t>(IntOf(v)) -
+      const uint64_t delta = static_cast<uint64_t>(v.AsInteger()) -
                              static_cast<uint64_t>(for_base);
       out->WriteRaw(&delta, for_width);
     }

@@ -61,10 +61,6 @@ size_t EncodedColumn::encoded_bytes() const {
 
 namespace {
 
-int64_t IntOf(const Value& v) {
-  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
-}
-
 /// Encodes one integer column: frame-of-reference by default, dictionary
 /// when the distinct set makes it smaller.
 void EncodeIntColumn(const Column& col, const std::vector<Value>& staged,
@@ -75,7 +71,7 @@ void EncodeIntColumn(const Column& col, const std::vector<Value>& staged,
   bool any = false;
   for (size_t r = 0; r < rows; ++r) {
     if (!present[r]) continue;
-    const int64_t v = IntOf(staged[r]);
+    const int64_t v = staged[r].AsInteger();
     if (!any) {
       min_v = max_v = v;
       any = true;
@@ -108,7 +104,7 @@ void EncodeIntColumn(const Column& col, const std::vector<Value>& staged,
     }
     out->codes.Init(dict_width, rows);
     for (size_t r = 0; r < rows; ++r) {
-      if (present[r]) out->codes.Set(r, distinct[IntOf(staged[r])]);
+      if (present[r]) out->codes.Set(r, distinct[staged[r].AsInteger()]);
     }
   } else {
     out->encoding = EncodedColumn::Encoding::kFrameOfReference;
@@ -116,7 +112,7 @@ void EncodeIntColumn(const Column& col, const std::vector<Value>& staged,
     out->codes.Init(for_width, rows);
     for (size_t r = 0; r < rows; ++r) {
       if (!present[r]) continue;
-      out->codes.Set(r, static_cast<uint64_t>(IntOf(staged[r])) -
+      out->codes.Set(r, static_cast<uint64_t>(staged[r].AsInteger()) -
                             static_cast<uint64_t>(min_v));
     }
   }

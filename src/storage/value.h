@@ -46,6 +46,11 @@ class Value {
   int64_t AsInt64() const { return std::get<int64_t>(repr_); }
   double AsDouble() const { return std::get<double>(repr_); }
   const std::string& AsString() const { return std::get<std::string>(repr_); }
+  /// An integer value (int32 or int64) widened to 64 bits.
+  int64_t AsInteger() const {
+    return repr_.index() == 0 ? std::get<int32_t>(repr_)
+                              : std::get<int64_t>(repr_);
+  }
 
   /// Numeric view of any non-string value (int32/int64 widened, double as
   /// itself); used by comparison predicates and aggregates.

@@ -21,8 +21,7 @@ namespace {
 
 /// Key of `t` under the object's secondary index (integer columns only).
 int64_t SecondaryKeyOf(const TableObject* obj, const Tuple& t) {
-  const Value& v = t.value(static_cast<size_t>(obj->secondary_column));
-  return v.type() == ColumnType::kInt32 ? v.AsInt32() : v.AsInt64();
+  return t.value(static_cast<size_t>(obj->secondary_column)).AsInteger();
 }
 
 }  // namespace

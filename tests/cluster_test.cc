@@ -137,22 +137,44 @@ TEST_P(AllProtocolsTest, NoVoteAbortsTransaction) {
   auto cluster = MakeCluster(GetParam());
   ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
   Coordinator* coord = cluster->coordinator();
+  ASSERT_OK(coord->InsertTxn(table, SmallRow(1, 10, "kept")));
 
   cluster->worker(1)->FailNextPrepare();
   ASSERT_OK_AND_ASSIGN(TxnId txn, coord->Begin());
-  ASSERT_OK(coord->Insert(txn, table, SmallRow(1, 1, "x")));
+  ASSERT_OK(coord->Insert(txn, table, SmallRow(2, 20, "x")));
   Status st = coord->Commit(txn);
   EXPECT_TRUE(st.IsAborted()) << st.ToString();
 
   // The YES-voting worker must have rolled back too.
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> rows,
                        coord->Query(table, Predicate::True()));
-  EXPECT_TRUE(rows.empty());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value(0).AsInt64(), 1);
   EXPECT_EQ(cluster->observer()
                 .MetricsFor(coord->site_id())
                 .counter(obs::CounterId::kTxnAborted)
                 .value(),
             1);
+
+  // The NO voter rolled back, then forced its ABORT record. Restarting it
+  // (ARIES replay under the logging protocols, HARBOR recovery under the
+  // rest) must keep the rolled-back row out of every replica.
+  cluster->CrashWorker(1);
+  cluster->AdvanceEpoch();
+  ASSERT_OK(cluster->RecoverWorker(1).status());
+  cluster->AdvanceEpoch();
+  for (int i = 0; i < cluster->num_workers(); ++i) {
+    Worker* w = cluster->worker(i);
+    TableObject* obj = w->local_catalog()->objects()[0];
+    ScanSpec spec;
+    spec.object_id = obj->object_id;
+    spec.mode = ScanMode::kVisible;
+    spec.as_of = cluster->authority()->StableTime();
+    SeqScanOperator scan(w->store(), obj, spec);
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> replica, scan.Collect());
+    ASSERT_EQ(replica.size(), 1u) << "worker " << i;
+    EXPECT_EQ(replica[0].tuple_id(), rows[0].tuple_id()) << "worker " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -204,6 +204,40 @@ TEST(FaultInjectorTest, DelayActionReturnsOkAfterSleeping) {
             20);
 }
 
+TEST(FaultInjectorTest, DelayPointDoesNotHoldAPoolWorker) {
+  // A pool task sleeping out a delay point is in a blocking section, so the
+  // one-worker pool gets a spare and a second task runs during the delay.
+  runtime::Scheduler::Options opt;
+  opt.workers = 1;
+  runtime::Scheduler sched(opt);
+  ChaosSchedule cs;
+  PointFault p;
+  p.point = "p";
+  p.action = FaultAction::kDelay;
+  p.delay_ms = 300;
+  cs.points.push_back(p);
+  FaultInjector fi(cs);
+  std::atomic<bool> delayed{false};
+  std::atomic<bool> second_ran{false};
+  std::atomic<int64_t> second_ms{-1};
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(sched.Post([&] {
+    delayed.store(true);
+    EXPECT_OK(fi.OnPoint("p", 1, fault::CrashMode::kSync));
+  }));
+  while (!delayed.load()) std::this_thread::yield();
+  ASSERT_TRUE(sched.Post([&] {
+    second_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    second_ran.store(true);
+  }));
+  sched.Shutdown();
+  ASSERT_TRUE(second_ran.load());
+  EXPECT_LT(second_ms.load(), 150)
+      << "the second task waited for the delay point to end";
+}
+
 // ----------------------------------------------------- cluster test rig
 
 void RegisterClusterCrashHandlers(FaultInjector* fi, Cluster* cluster) {

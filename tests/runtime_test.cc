@@ -488,7 +488,12 @@ TEST(SchedulerTest, ConcurrentStrandReleaseAndPost) {
       }
     });
   }
-  std::this_thread::sleep_for(2ms);
+  // Release only once some task has run: on a loaded host the pool may not
+  // have started a posted task within any fixed sleep.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (ran.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   for (int i = 0; i < kStrands; i += 2) sched.ReleaseStrand(strands[i]);
   std::this_thread::sleep_for(1ms);
   stop.store(true);
